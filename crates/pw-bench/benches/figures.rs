@@ -13,7 +13,7 @@ use pw_botnet::{
     apply_evasion, generate_nugache_trace, generate_storm_trace, EvasionConfig, NugacheConfig,
     StormConfig,
 };
-use pw_detect::{find_plotters_from_table, FindPlottersConfig};
+use pw_detect::{try_find_plotters_from_table, FindPlottersConfig};
 use pw_netsim::SimDuration;
 
 fn bench_figure_kernels(c: &mut Criterion) {
@@ -71,7 +71,10 @@ fn bench_figure_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig09_pipeline_day");
     group.sample_size(10);
     group.bench_function("one_day", |b| {
-        b.iter(|| find_plotters_from_table(black_box(profiles), &FindPlottersConfig::default()))
+        b.iter(|| {
+            try_find_plotters_from_table(black_box(profiles), &FindPlottersConfig::default(), 1)
+                .expect("campus day yields a verdict")
+        })
     });
     group.finish();
 }

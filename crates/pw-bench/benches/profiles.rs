@@ -10,9 +10,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use pw_bench::bench_day;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, extract_profiles_table_par_tier,
-    extract_profiles_table_tier, find_plotters_from_table, internal_endpoint, FindPlottersConfig,
-    HostProfile, ProfileAccumulator, ProfileRepr, ProfileTier,
+    extract_profiles_table_par_tier, internal_endpoint, try_find_plotters_from_table,
+    FindPlottersConfig, HostProfile, ProfileAccumulator, ProfileRepr, ProfileTier,
 };
 use pw_flow::{FlowRecord, FlowTable};
 use pw_netsim::{SimDuration, SimTime};
@@ -94,7 +93,8 @@ fn bench_extraction(c: &mut Criterion) {
     // the refactored path produces.
     assert_eq!(
         legacy_extract_profiles(flows, |ip| day.is_internal(ip)),
-        extract_profiles_table(&table, |ip| day.is_internal(ip)).to_map(),
+        extract_profiles_table_par_tier(&table, |ip| day.is_internal(ip), ProfileTier::Exact, 1)
+            .to_map(),
         "legacy baseline diverged from the table path"
     );
 
@@ -107,11 +107,18 @@ fn bench_extraction(c: &mut Criterion) {
     group.bench_function("table_from_records", |b| {
         b.iter(|| {
             let t = FlowTable::from_records(black_box(flows));
-            extract_profiles_table(&t, |ip| day.is_internal(ip))
+            extract_profiles_table_par_tier(&t, |ip| day.is_internal(ip), ProfileTier::Exact, 1)
         })
     });
     group.bench_function("table_prebuilt", |b| {
-        b.iter(|| extract_profiles_table(black_box(&table), |ip| day.is_internal(ip)))
+        b.iter(|| {
+            extract_profiles_table_par_tier(
+                black_box(&table),
+                |ip| day.is_internal(ip),
+                ProfileTier::Exact,
+                1,
+            )
+        })
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(
@@ -119,7 +126,12 @@ fn bench_extraction(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    extract_profiles_table_par(black_box(&table), |ip| day.is_internal(ip), t)
+                    extract_profiles_table_par_tier(
+                        black_box(&table),
+                        |ip| day.is_internal(ip),
+                        ProfileTier::Exact,
+                        t,
+                    )
                 })
             },
         );
@@ -178,10 +190,11 @@ fn bench_sketched_extraction(c: &mut Criterion) {
     group.throughput(Throughput::Elements(fixture.flows.len() as u64));
     group.bench_function("extract_day", |b| {
         b.iter(|| {
-            extract_profiles_table_tier(
+            extract_profiles_table_par_tier(
                 black_box(&table),
                 |ip| day.is_internal(ip),
                 ProfileTier::Sketched,
+                1,
             )
         })
     });
@@ -221,13 +234,19 @@ fn bench_detection(c: &mut Criterion) {
     let day = &fixture.day;
     let flows = &fixture.flows;
     let table = FlowTable::from_records(flows);
-    let profile_table = extract_profiles_table(&table, |ip| day.is_internal(ip));
+    let profile_table =
+        extract_profiles_table_par_tier(&table, |ip| day.is_internal(ip), ProfileTier::Exact, 1);
 
     let mut group = c.benchmark_group("profiles/batch_detect");
     group.sample_size(10);
     group.bench_function("from_profile_table", |b| {
         b.iter(|| {
-            find_plotters_from_table(black_box(&profile_table), &FindPlottersConfig::default())
+            try_find_plotters_from_table(
+                black_box(&profile_table),
+                &FindPlottersConfig::default(),
+                1,
+            )
+            .expect("campus day yields a verdict")
         })
     });
     group.finish();

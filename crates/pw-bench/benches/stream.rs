@@ -1,12 +1,12 @@
 //! Streaming-engine benchmarks: batch vs streaming, and the multi-core
-//! speedup of host-sharded profile extraction and threshold tests.
+//! speedup of the whole host-sharded pipeline. Extraction alone is
+//! measured serial and sharded by the `profiles/extract` group.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pw_bench::bench_day;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, find_plotters_from_table,
-    try_find_plotters, FindPlottersConfig,
+    try_find_plotters_from_table, try_find_plotters_table_tier, FindPlottersConfig, ProfileTier,
 };
 use pw_flow::FlowTable;
 use pw_netsim::SimDuration;
@@ -16,20 +16,6 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     let day = &fixture.day;
     let mut flows = fixture.flows.clone();
     flows.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
-    let table = FlowTable::from_records(&flows);
-
-    let mut group = c.benchmark_group("stream/extract_profiles");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(flows.len() as u64));
-    group.bench_function("serial", |b| {
-        b.iter(|| extract_profiles_table(black_box(&table), |ip| day.is_internal(ip)))
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("sharded", threads), &threads, |b, &t| {
-            b.iter(|| extract_profiles_table_par(black_box(&table), |ip| day.is_internal(ip), t))
-        });
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("stream/full_pipeline");
     group.sample_size(10);
@@ -37,10 +23,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
-                try_find_plotters(
-                    black_box(&flows),
+                try_find_plotters_table_tier(
+                    &FlowTable::from_records(black_box(&flows)),
                     |ip| day.is_internal(ip),
                     &FindPlottersConfig::default(),
+                    ProfileTier::Exact,
                     t,
                 )
                 .unwrap()
@@ -61,7 +48,12 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("find_plotters_from_table", |b| {
         b.iter(|| {
-            find_plotters_from_table(black_box(&fixture.profiles), &FindPlottersConfig::default())
+            try_find_plotters_from_table(
+                black_box(&fixture.profiles),
+                &FindPlottersConfig::default(),
+                1,
+            )
+            .expect("campus day yields a verdict")
         })
     });
     group.finish();

@@ -11,7 +11,7 @@
 
 use pw_botnet::{generate_nugache_trace, generate_storm_trace, NugacheConfig, StormConfig};
 use pw_data::{build_day, overlay_bots, CampusConfig, DayDataset};
-use pw_detect::{extract_profiles_table, ProfileTable};
+use pw_detect::{extract_profiles_table_par_tier, ProfileTable, ProfileTier};
 use pw_flow::{FlowRecord, FlowTable};
 use pw_netsim::SimDuration;
 
@@ -64,9 +64,12 @@ pub fn bench_day() -> BenchDay {
         2,
     );
     let overlaid = overlay_bots(&day, &[&storm, &nugache], 3);
-    let profiles = extract_profiles_table(&FlowTable::from_records(&overlaid.flows), |ip| {
-        day.is_internal(ip)
-    });
+    let profiles = extract_profiles_table_par_tier(
+        &FlowTable::from_records(&overlaid.flows),
+        |ip| day.is_internal(ip),
+        ProfileTier::Exact,
+        1,
+    );
     BenchDay {
         day,
         flows: overlaid.flows,

@@ -17,7 +17,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v2
+//! peerwatch-checkpoint v3
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -29,18 +29,16 @@
 //! window 7 1
 //! <flow row in csvio line format>
 //! end
+//! checksum crc32=<8 hex digits>
 //! ```
 //!
-//! Version 3 appends an integrity trailer as the final line —
-//! `checksum crc32=<8 hex digits>` over every preceding byte — so a
-//! truncated or bit-flipped snapshot is detected at restore time as a
-//! typed error instead of silently parsing garbage (the line-oriented
-//! format would otherwise accept many single-byte corruptions, e.g. a
-//! flipped digit in a counter). Version 2 added the profile-tier knob and
-//! the per-host memory gauges. Both older versions are still accepted:
-//! they parse without a trailer, and v1 restores with
-//! [`ProfileTier::Exact`] and zeroed memory gauges, which is exactly the
-//! behaviour the engine had when the snapshot was written.
+//! The final line is an integrity trailer — a CRC32 over every preceding
+//! byte — so a truncated or bit-flipped snapshot is detected at restore
+//! time as a typed error instead of silently parsing garbage (the
+//! line-oriented format would otherwise accept many single-byte
+//! corruptions, e.g. a flipped digit in a counter). This is the only
+//! format read or written: any other header is refused up front, and
+//! every field is required.
 //!
 //! For crash-safety beyond the atomic rename, [`write_checkpoint_retained`]
 //! keeps the last *N* snapshots (`<path>.1` is the previous one, `<path>.2`
@@ -83,22 +81,13 @@ use crate::pipeline::FindPlottersConfig;
 use crate::stream::{EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
-/// format evolution. Version 3 requires the `checksum crc32=` trailer.
+/// format evolution. The format requires the `checksum crc32=` trailer.
 pub const MAGIC: &str = "peerwatch-checkpoint v3";
 
-/// The version-2 format, still accepted by [`EngineCheckpoint::parse`]:
-/// same sections as v3 but no integrity trailer.
-pub const MAGIC_V2: &str = "peerwatch-checkpoint v2";
-
-/// The version-1 format, still accepted by [`EngineCheckpoint::parse`]:
-/// no trailer, no `tier` field (implies [`ProfileTier::Exact`]), and no
-/// memory gauges.
-pub const MAGIC_V1: &str = "peerwatch-checkpoint v1";
-
-/// Line prefix of the v3 integrity trailer.
+/// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
 
-/// Appends the v3 integrity trailer: a `checksum crc32=<8 hex>` line
+/// Appends the integrity trailer: a `checksum crc32=<8 hex>` line
 /// covering every byte already in `text`. Shared with the server-side
 /// checkpoint format, which wraps an engine snapshot in its own trailer.
 pub fn append_checksum_trailer(text: &mut String) {
@@ -187,7 +176,7 @@ pub enum CheckpointError {
     },
     /// A serialized flow row failed to parse.
     Row(RowError),
-    /// The v3 integrity trailer does not match the file body: the
+    /// The integrity trailer does not match the file body: the
     /// snapshot was corrupted after it was written.
     Checksum {
         /// CRC32 computed over the body as read.
@@ -353,24 +342,10 @@ impl EngineCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError`] naming the offending line on any corruption;
-    /// unknown versions are refused up front.
+    /// unknown versions are refused up front, before the integrity check.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
-        // v3 files must pass the integrity check before any line parsing;
-        // older versions have no trailer to verify.
-        let text = if text.starts_with(MAGIC) {
-            split_checksum_trailer(text)?
-        } else {
-            text
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(CheckpointError::BadMagic {
-            found: String::new(),
-        })?;
-        if magic != MAGIC && magic != MAGIC_V2 && magic != MAGIC_V1 {
-            return Err(CheckpointError::BadMagic {
-                found: magic.to_string(),
-            });
-        }
+        check_magic(text, MAGIC)?;
+        let mut lines = split_checksum_trailer(text)?.lines().enumerate().skip(1);
 
         let engine = section(&mut lines, "engine")?;
         let config_fields = Fields::new(engine.1, engine.0 + 1)?;
@@ -416,9 +391,9 @@ impl EngineCheckpoint {
             quarantined: stats_fields.num("quarantined")?,
             duplicates: stats_fields.num("duplicates")?,
             stall_flushes: stats_fields.num("stall_flushes")?,
-            profile_bytes: stats_fields.num_or("profile_bytes", 0)?,
-            profiles_exact: stats_fields.num_or("profiles_exact", 0)?,
-            profiles_sketched: stats_fields.num_or("profiles_sketched", 0)?,
+            profile_bytes: stats_fields.num("profile_bytes")?,
+            profiles_exact: stats_fields.num("profiles_exact")?,
+            profiles_sketched: stats_fields.num("profiles_sketched")?,
         };
 
         // Buffer section: "buffer <count>" then that many flow rows.
@@ -482,6 +457,23 @@ impl EngineCheckpoint {
                 .map(SimTime::from_millis),
             buffer,
             open,
+        })
+    }
+}
+
+/// Refuses `text` unless its first line is exactly `magic`. Shared with the
+/// server-side checkpoint format.
+///
+/// # Errors
+///
+/// [`CheckpointError::BadMagic`] carrying the first line actually found.
+pub fn check_magic(text: &str, magic: &str) -> Result<(), CheckpointError> {
+    let first = text.lines().next().unwrap_or_default();
+    if first == magic {
+        Ok(())
+    } else {
+        Err(CheckpointError::BadMagic {
+            found: first.to_string(),
         })
     }
 }
@@ -559,16 +551,6 @@ impl<'a> Fields<'a> {
         v.parse().map_err(|_| self.bad(key, v))
     }
 
-    /// Like [`num`](Self::num), but an *absent* key yields `default` — for
-    /// fields added after v1 that older checkpoints legitimately lack. A
-    /// present-but-malformed value is still an error.
-    fn num_or(&self, key: &str, default: u64) -> Result<u64, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == key) {
-            None => Ok(default),
-            Some((_, v)) => v.parse().map_err(|_| self.bad(key, v)),
-        }
-    }
-
     fn opt_num(&self, key: &str) -> Result<Option<u64>, CheckpointError> {
         let v = self.get(key)?;
         if v == "none" {
@@ -617,41 +599,18 @@ impl<'a> Fields<'a> {
         Err(self.bad("eviction", v))
     }
 
-    /// Profile tier: absent in v1 checkpoints, which ran exact profiles.
     fn tier(&self) -> Result<ProfileTier, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == "tier") {
-            None => Ok(ProfileTier::Exact),
-            Some((_, v)) => ProfileTier::from_name(v).ok_or_else(|| self.bad("tier", v)),
-        }
+        let v = self.get("tier")?;
+        ProfileTier::from_name(v).ok_or_else(|| self.bad("tier", v))
     }
 
-    /// Like [`flag`](Self::flag), but an absent key yields `default` — the
-    /// same post-v1 compatibility contract as [`num_or`](Self::num_or).
-    fn flag_or(&self, key: &str, default: bool) -> Result<bool, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == key) {
-            None => Ok(default),
-            Some((_, v)) => match *v {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                v => Err(self.bad(key, v)),
-            },
-        }
-    }
-
-    /// θ_hm clustering configuration: absent in checkpoints written before
-    /// the bucketed mode existed, which always ran the exact path with the
-    /// default tiling — exactly what [`ThetaHmConfig::default`] encodes.
     fn theta_hm(&self) -> Result<ThetaHmConfig, CheckpointError> {
-        let d = ThetaHmConfig::default();
-        let mode = match self.pairs.iter().find(|(k, _)| *k == "theta_hm") {
-            None => d.mode,
-            Some((_, v)) => ThetaHmMode::from_name(v).ok_or_else(|| self.bad("theta_hm", v))?,
-        };
+        let v = self.get("theta_hm")?;
         Ok(ThetaHmConfig {
-            mode,
-            tile: self.num_or("hm_tile", d.tile as u64)? as usize,
-            par_cutoff: self.num_or("hm_par_cutoff", d.par_cutoff as u64)? as usize,
-            profile: self.flag_or("hm_profile", d.profile)?,
+            mode: ThetaHmMode::from_name(v).ok_or_else(|| self.bad("theta_hm", v))?,
+            tile: self.num("hm_tile")? as usize,
+            par_cutoff: self.num("hm_par_cutoff")? as usize,
+            profile: self.flag("hm_profile")?,
         })
     }
 
@@ -670,11 +629,7 @@ impl<'a> Fields<'a> {
 /// a crash mid-write can never leave a truncated checkpoint — the previous
 /// one survives intact.
 pub fn write_checkpoint(path: &Path, snapshot: &EngineCheckpoint) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, snapshot.serialize())?;
-    fs::rename(&tmp, path)
+    write_text_retained(path, &snapshot.serialize(), 0)
 }
 
 /// Reads a checkpoint previously persisted by [`write_checkpoint`].
@@ -897,39 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_restore_as_exact_tier() {
-        let snap = busy_engine().checkpoint();
-        // Rewrite a v2 snapshot into the v1 form: old magic, no tier field,
-        // no memory gauges.
-        let v1: String = snap
-            .serialize()
-            .replacen(MAGIC, MAGIC_V1, 1)
-            .lines()
-            .map(|l| {
-                let l = if l.starts_with("engine ") {
-                    l.split(" tier=").next().unwrap()
-                } else if l.starts_with("stats ") {
-                    l.split(" profile_bytes=").next().unwrap()
-                } else {
-                    l
-                };
-                format!("{l}\n")
-            })
-            .collect();
-        let parsed = EngineCheckpoint::parse(&v1).unwrap();
-        assert_eq!(parsed.config.tier, ProfileTier::Exact);
-        assert_eq!(parsed.stats.profile_bytes, 0);
-        assert_eq!(parsed.stats.profiles_sketched, 0);
-        // Apart from the gauges a v1 file cannot carry, nothing is lost.
-        let mut expected = snap;
-        expected.stats.profile_bytes = 0;
-        expected.stats.profiles_exact = 0;
-        expected.stats.profiles_sketched = 0;
-        assert_eq!(parsed, expected);
-        assert!(DetectionEngine::restore(&parsed, internal as fn(Ipv4Addr) -> bool).is_ok());
-    }
-
-    #[test]
     fn theta_hm_config_round_trips_exactly() {
         use crate::detectors::{BucketedHmParams, ThetaHmConfig, ThetaHmMode};
         let mut eng = busy_engine();
@@ -953,58 +875,47 @@ mod tests {
         drop(eng.finish());
     }
 
-    #[test]
-    fn checkpoints_without_theta_hm_fields_restore_as_exact() {
-        use crate::detectors::ThetaHmConfig;
-        let snap = busy_engine().checkpoint();
-        // Rewrite the snapshot into the pre-bucketed form: strip the θ_hm
-        // fields off the detect line (they were appended last).
-        let old: String = snap
-            .serialize()
+    /// Applies `edit` to every body line of a serialized snapshot and
+    /// re-seals it with a fresh trailer, so the line parser sees the edit.
+    fn resealed(text: &str, edit: impl Fn(&str) -> String) -> String {
+        let mut out: String = split_checksum_trailer(text)
+            .unwrap()
             .lines()
-            .map(|l| {
-                let l = if l.starts_with("detect ") {
-                    l.split(" theta_hm=").next().unwrap()
-                } else {
-                    l
-                };
-                format!("{l}\n")
-            })
+            .map(|l| format!("{}\n", edit(l)))
             .collect();
-        // The checksum trailer no longer matches the edited body, so parse
-        // the v2 form (no trailer) instead — same line grammar.
-        let old = old.replacen(MAGIC, MAGIC_V2, 1);
-        let old = old.lines().filter(|l| !l.starts_with("checksum ")).fold(
-            String::new(),
-            |mut acc, l| {
-                acc.push_str(l);
-                acc.push('\n');
-                acc
-            },
+        append_checksum_trailer(&mut out);
+        out
+    }
+
+    #[test]
+    fn checkpoints_missing_a_field_are_refused() {
+        let snap = busy_engine().checkpoint();
+        // Strip the θ_hm fields off the detect line (they come last).
+        let old = resealed(&snap.serialize(), |l| {
+            if l.starts_with("detect ") {
+                l.split(" theta_hm=").next().unwrap().to_string()
+            } else {
+                l.to_string()
+            }
+        });
+        let err = EngineCheckpoint::parse(&old).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Format { line: 3, .. }),
+            "{err}"
         );
-        let parsed = EngineCheckpoint::parse(&old).unwrap();
-        assert_eq!(parsed.config.detect.theta_hm, ThetaHmConfig::default());
-        let mut expected = snap;
-        expected.config.detect.theta_hm = ThetaHmConfig::default();
-        assert_eq!(parsed, expected);
+        assert!(err.to_string().contains("missing field theta_hm"), "{err}");
     }
 
     #[test]
     fn malformed_theta_hm_fields_are_refused() {
         let snap = busy_engine().checkpoint();
-        let bad = snap.serialize().replacen(MAGIC, MAGIC_V2, 1);
-        let bad: String = bad
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| {
-                let l = if l.starts_with("detect ") {
-                    l.replace("theta_hm=exact", "theta_hm=warp")
-                } else {
-                    l.to_string()
-                };
-                format!("{l}\n")
-            })
-            .collect();
+        let bad = resealed(&snap.serialize(), |l| {
+            if l.starts_with("detect ") {
+                l.replace("theta_hm=exact", "theta_hm=warp")
+            } else {
+                l.to_string()
+            }
+        });
         let err = EngineCheckpoint::parse(&bad).unwrap_err();
         assert!(err.to_string().contains("theta_hm"));
     }
@@ -1016,24 +927,17 @@ mod tests {
         assert!(err.to_string().contains("v99"));
 
         let snap = busy_engine().checkpoint();
-        // On a v3 file, any body edit trips the checksum before line
-        // parsing ever sees it.
+        // Any body edit trips the checksum before line parsing sees it.
         let text = snap
             .serialize()
             .replacen("watermark_ms=", "watermark_ms=bogus", 1);
         let err = EngineCheckpoint::parse(&text).unwrap_err();
         assert!(matches!(err, CheckpointError::Checksum { .. }), "{err}");
-        // A v2 file (no trailer) still gets the line-numbered diagnosis.
-        let text = snap.serialize().replacen(MAGIC, MAGIC_V2, 1).replacen(
-            "watermark_ms=",
-            "watermark_ms=bogus",
-            1,
-        );
-        let text = text
-            .strip_suffix('\n')
-            .and_then(|t| t.rsplit_once('\n'))
-            .map(|(body, _trailer)| format!("{body}\n"))
-            .unwrap();
+        // A re-sealed edit reaches the line parser and is diagnosed with
+        // its line number.
+        let text = resealed(&snap.serialize(), |l| {
+            l.replacen("watermark_ms=", "watermark_ms=bogus", 1)
+        });
         let err = EngineCheckpoint::parse(&text).unwrap_err();
         assert!(matches!(err, CheckpointError::Format { .. }));
         assert!(err.to_string().contains("line"), "{err}");

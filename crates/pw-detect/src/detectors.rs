@@ -417,7 +417,7 @@ pub struct ThetaHmProfile {
     pub bucket_sizes: Vec<usize>,
 }
 
-/// Design-variant knobs for [`crate::compat::theta_hm_with_options`], used by the ablation
+/// Design-variant knobs for [`theta_hm_view`], used by the ablation
 /// experiments that quantify each design decision DESIGN.md calls out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmOptions {
@@ -694,8 +694,8 @@ mod tests {
     use pw_netsim::SimTime;
     use std::collections::{BTreeMap, HashMap};
 
-    // Map-shaped adapters over the canonical view API, mirroring the
-    // deprecated `compat` wrappers so assertions stay set-based.
+    // Map-shaped adapters over the canonical view API, so assertions stay
+    // set-based.
     fn theta_vol_par(
         profiles: &HashMap<Ipv4Addr, HostProfile>,
         s: &HashSet<Ipv4Addr>,

@@ -636,7 +636,7 @@ impl LastTo {
 
 /// The one per-flow update every extraction mode and both tiers funnel
 /// through: record-oriented ([`ProfileAccumulator::absorb`]), columnar
-/// ([`extract_profiles_table`]'s row walk), serial or host-sharded.
+/// ([`extract_profiles_table_par_tier`]'s row walk), serial or host-sharded.
 ///
 /// Callers decompose their flow representation into the monitored host's
 /// view of it — `start`/`dst`/`uploaded`/`initiated`/`failed` — so the
@@ -709,7 +709,7 @@ fn absorb_obs(
 /// The single accumulation path every *record-oriented* extraction mode
 /// shares: push-based ([`ProfileBuilder`]) and ad-hoc batch. Columnar
 /// extraction uses the same per-flow update over [`FlowTable`] rows
-/// ([`extract_profiles_table`]) — both reduce to `absorb_obs`.
+/// ([`extract_profiles_table_par_tier`]) — both reduce to `absorb_obs`.
 ///
 /// The accumulator is *attribution-agnostic*: callers decide which flows it
 /// sees and which endpoint is the monitored host (via
@@ -779,25 +779,16 @@ impl ProfileAccumulator {
                 .collect(),
         )
     }
-
-    /// Finishes the window in the row-oriented map shape.
-    pub fn finish_map(self) -> HashMap<Ipv4Addr, HostProfile> {
-        self.hosts
-            .ips()
-            .iter()
-            .copied()
-            .zip(self.profiles)
-            .collect()
-    }
 }
 
 /// Incremental profile extraction — feed flows as the border monitor emits
 /// them, read profiles at the end of the detection window.
 ///
 /// Flows must arrive in non-decreasing start-time order (what a flow
-/// monitor produces); [`crate::compat::extract_profiles`] sorts for you when working from
-/// a stored dataset, and [`crate::stream::DetectionEngine`] reorders
-/// bounded-lateness streams for you.
+/// monitor produces); [`extract_profiles_table_par_tier`] works from a
+/// stored dataset in the table's canonical order, and
+/// [`crate::stream::DetectionEngine`] reorders bounded-lateness streams for
+/// you.
 ///
 /// # Examples
 ///
@@ -867,11 +858,6 @@ impl<F: Fn(Ipv4Addr) -> bool> ProfileBuilder<F> {
     pub fn finish(self) -> ProfileTable {
         self.acc.finish()
     }
-
-    /// Finishes the window in the row-oriented map shape.
-    pub fn finish_map(self) -> HashMap<Ipv4Addr, HostProfile> {
-        self.acc.finish_map()
-    }
 }
 
 /// Columnar accumulation state: per-table-host slot assignment over dense
@@ -932,37 +918,6 @@ impl<'t> TableProfiler<'t> {
     }
 }
 
-/// Profile extraction over an existing [`FlowTable`] — the core batch path,
-/// at the exact tier.
-///
-/// Rows are visited in the table's canonical time order, so the result is
-/// independent of the original record order.
-pub fn extract_profiles_table<F>(table: &FlowTable, is_internal: F) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    extract_profiles_table_tier(table, is_internal, ProfileTier::Exact)
-}
-
-/// [`extract_profiles_table`] at an explicit [`ProfileTier`].
-pub fn extract_profiles_table_tier<F>(
-    table: &FlowTable,
-    is_internal: F,
-    tier: ProfileTier,
-) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let flags = internal_flags(table, &is_internal);
-    let mut prof = TableProfiler::new(table, tier);
-    for row in table.rows_in_order() {
-        if let Some(host) = border_host(table, row, &flags) {
-            prof.absorb_row(row, host);
-        }
-    }
-    ProfileTable::from_pairs(prof.finish())
-}
-
 /// Deterministic host→shard assignment used by every parallel stage.
 pub(crate) fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
     debug_assert!(shards > 0);
@@ -971,31 +926,18 @@ pub(crate) fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
     ((h >> 32) as usize) % shards
 }
 
-/// [`extract_profiles_table`] sharded over hosts with `std::thread::scope`,
-/// at the exact tier.
+/// Profile extraction over an existing [`FlowTable`] — the one extraction
+/// call, shared by the batch path and the streaming engine.
 ///
-/// `threads == 0` is clamped to 1; `threads == 1` takes the serial path.
-pub fn extract_profiles_table_par<F>(
-    table: &FlowTable,
-    is_internal: F,
-    threads: usize,
-) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    extract_profiles_table_par_tier(table, is_internal, ProfileTier::Exact, threads)
-}
-
-/// Host-sharded extraction at an explicit [`ProfileTier`].
-///
-/// Each worker scans the table and accumulates only the hosts assigned to
-/// its shard, so shards touch disjoint state and need no synchronization.
+/// Rows are visited in the table's canonical time order, so the result is
+/// independent of the original record order. With `threads > 1`, each
+/// worker scans the table and accumulates only the hosts assigned to its
+/// shard, so shards touch disjoint state and need no synchronization.
 /// Per-host flow order is preserved, which makes the result identical to
-/// [`extract_profiles_table_tier`] for any thread count — at *both* tiers:
-/// sketch state is a pure function of the per-host flow sequence (see
-/// [`pw_sketch`]), so shard concatenation order is invisible. The shard
-/// assignment is computed once per distinct host, not re-derived per flow
-/// per shard.
+/// the serial path for any thread count — at *both* tiers: sketch state is
+/// a pure function of the per-host flow sequence (see [`pw_sketch`]), so
+/// shard concatenation order is invisible. The shard assignment is
+/// computed once per distinct host, not re-derived per flow per shard.
 ///
 /// `threads == 0` is clamped to 1; `threads == 1` takes the serial path.
 pub fn extract_profiles_table_par_tier<F>(
@@ -1008,10 +950,16 @@ where
     F: Fn(Ipv4Addr) -> bool + Sync,
 {
     let threads = threads.max(1);
-    if threads == 1 {
-        return extract_profiles_table_tier(table, is_internal, tier);
-    }
     let flags = internal_flags(table, &is_internal);
+    if threads == 1 {
+        let mut prof = TableProfiler::new(table, tier);
+        for row in table.rows_in_order() {
+            if let Some(host) = border_host(table, row, &flags) {
+                prof.absorb_row(row, host);
+            }
+        }
+        return ProfileTable::from_pairs(prof.finish());
+    }
     let shard_of: Vec<u32> = table
         .hosts()
         .ips()
@@ -1049,13 +997,14 @@ mod tests {
     use super::*;
     use pw_flow::{FlowState, Payload, Proto};
 
-    /// Map-shaped extraction through the canonical table path, for
-    /// assertion convenience.
-    fn extract_profiles<F: Fn(Ipv4Addr) -> bool>(
-        flows: &[FlowRecord],
-        is_internal: F,
-    ) -> HashMap<Ipv4Addr, HostProfile> {
-        extract_profiles_table(&FlowTable::from_records(flows), is_internal).to_map()
+    /// Serial extraction at `tier`, for assertion convenience.
+    fn extract(table: &FlowTable, tier: ProfileTier) -> ProfileTable {
+        extract_profiles_table_par_tier(table, internal, tier, 1)
+    }
+
+    /// Map-shaped exact-tier extraction, for assertion convenience.
+    fn extract_profiles(flows: &[FlowRecord]) -> HashMap<Ipv4Addr, HostProfile> {
+        extract(&FlowTable::from_records(flows), ProfileTier::Exact).to_map()
     }
 
     const H: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
@@ -1102,7 +1051,7 @@ mod tests {
             flow(H, E1, 0, 100, 1000, false), // host uploads 100
             flow(E2, H, 10, 50, 900, false),  // host uploads 900 (responder)
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.flows_involving, 2);
         assert_eq!(p.bytes_uploaded, 1000);
         assert_eq!(p.avg_upload_per_flow(), Some(500.0));
@@ -1117,7 +1066,7 @@ mod tests {
             flow(H, E1, 10, 100, 100, false),
             flow(E2, H, 20, 10, 10, true), // inbound failure: not counted
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.failed_rate(), Some(0.5));
         assert!(p.initiated_successfully());
     }
@@ -1130,7 +1079,7 @@ mod tests {
             flow(H, Ipv4Addr::new(3, 3, 3, 3), 2 * 3600, 1, 1, false), // new
             flow(H, Ipv4Addr::new(4, 4, 4, 4), 3 * 3600, 1, 1, false), // new
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.distinct_destinations(), 4);
         assert_eq!(p.new_ip_fraction(), Some(0.5));
     }
@@ -1141,7 +1090,7 @@ mod tests {
             flow(H, E1, 0, 1, 1, false),
             flow(H, E1, 2 * 3600, 1, 1, false), // repeat, not a new IP
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.new_ip_fraction(), Some(0.0));
     }
 
@@ -1154,7 +1103,7 @@ mod tests {
             flow(H, E2, 305, 1, 1, false), // gap 300 to E2
             flow(H, E1, 250, 1, 1, false), // gap 150 to E1
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         let mut ist = p.interstitials().to_vec();
         ist.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(ist, vec![100.0, 150.0, 300.0]);
@@ -1163,14 +1112,14 @@ mod tests {
     #[test]
     fn internal_to_internal_ignored() {
         let flows = vec![flow(H, H2, 0, 1, 1, false)];
-        let profiles = extract_profiles(&flows, internal);
+        let profiles = extract_profiles(&flows);
         assert!(profiles.is_empty());
     }
 
     #[test]
     fn inbound_only_host_has_no_churn_or_failed_rate() {
         let flows = vec![flow(E1, H, 0, 10, 20, false)];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.failed_rate(), None);
         assert_eq!(p.new_ip_fraction(), None);
         assert_eq!(p.avg_upload_per_flow(), Some(20.0));
@@ -1183,7 +1132,7 @@ mod tests {
             flow(H, E1, 100, 1, 1, false),
             flow(H, E1, 0, 1, 1, false), // earlier, listed later
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = &extract_profiles(&flows)[&H];
         assert_eq!(p.interstitials(), &[100.0]);
         assert_eq!(p.first_contact().expect("exact tier")[&E1], SimTime::ZERO);
     }
@@ -1203,14 +1152,14 @@ mod tests {
     #[test]
     fn streaming_builder_matches_batch_extraction() {
         let flows = mixed_flows();
-        let batch = extract_profiles(&flows, internal);
+        let batch = extract_profiles(&flows);
         let mut builder = ProfileBuilder::new(internal);
         assert!(builder.is_empty());
         for f in &flows {
             builder.push(f);
         }
         assert_eq!(builder.len(), 2);
-        let streamed = builder.finish_map();
+        let streamed = builder.finish().to_map();
         assert_eq!(streamed.len(), batch.len());
         for (ip, p) in &batch {
             let s = &streamed[ip];
@@ -1224,16 +1173,17 @@ mod tests {
     fn table_extraction_matches_map_shape() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let pt = extract_profiles_table(&table, internal);
+        let pt = extract(&table, ProfileTier::Exact);
         assert_eq!(pt.len(), 2);
         // Ascending-IP id order.
         let ips: Vec<Ipv4Addr> = pt.iter().map(|(_, p)| p.ip).collect();
         assert_eq!(ips, vec![H, H2]);
-        assert_eq!(pt.get(H).unwrap(), &extract_profiles(&flows, internal)[&H]);
-        assert_eq!(pt.clone().to_map(), extract_profiles(&flows, internal));
+        assert_eq!(pt.get(H).unwrap(), &extract_profiles(&flows)[&H]);
+        assert_eq!(pt.clone().to_map(), extract_profiles(&flows));
         // Sharded table extraction agrees for any thread count.
         for threads in [2usize, 3, 8] {
-            let par = extract_profiles_table_par(&table, internal, threads);
+            let par =
+                extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
             assert_eq!(par, pt, "threads={threads}");
         }
     }
@@ -1241,7 +1191,7 @@ mod tests {
     #[test]
     fn profile_table_retain_reinterns() {
         let flows = mixed_flows();
-        let mut pt = extract_profiles_table(&FlowTable::from_records(&flows), internal);
+        let mut pt = extract(&FlowTable::from_records(&flows), ProfileTier::Exact);
         pt.retain(|ip, _| ip == H2);
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.hosts().get(H2).map(pw_flow::HostId::index), Some(0));
@@ -1260,8 +1210,8 @@ mod tests {
     fn sketched_tier_matches_exact_metrics_on_small_hosts() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let exact = extract_profiles_table(&table, internal);
-        let sk = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let exact = extract(&table, ProfileTier::Exact);
+        let sk = extract(&table, ProfileTier::Sketched);
         assert_eq!(exact.len(), sk.len());
         for ((_, e), (_, s)) in exact.iter().zip(sk.iter()) {
             assert_eq!(s.tier(), ProfileTier::Sketched);
@@ -1284,7 +1234,7 @@ mod tests {
     fn sketched_sharded_extraction_is_thread_count_invariant() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let serial = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let serial = extract(&table, ProfileTier::Sketched);
         for threads in [2usize, 4, 8] {
             let par =
                 extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, threads);
@@ -1304,8 +1254,8 @@ mod tests {
         }
         flows.sort_by_key(|f| f.start);
         let table = FlowTable::from_records(&flows);
-        let exact = extract_profiles_table(&table, internal);
-        let sk = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let exact = extract(&table, ProfileTier::Exact);
+        let sk = extract(&table, ProfileTier::Sketched);
         let (e, s) = (
             exact.get(H).expect("profiled"),
             sk.get(H).expect("profiled"),

@@ -27,31 +27,36 @@
 //! which is the basis of the paper's evasion argument (§VI): an attacker
 //! cannot know the value it must beat.
 //!
-//! The supported API is table-based and streaming: [`ProfileTable`] for
-//! extraction output, [`ProfileView`]/[`HostMask`] plus the `*_view` stage
-//! functions for stage-level work, the `*_table` entry points for whole
-//! runs, and [`stream::DetectionEngine`] for live feeds. [`prelude`]
-//! re-exports what callers typically need; the legacy map-shaped wrappers
-//! live in [`compat`] behind `#[deprecated]`.
+//! The API is table-based and streaming, with one way to do each thing:
+//! [`extract_profiles_table_par_tier`] is the one extraction call, and
+//! [`ProfileTable`] its output; [`ProfileView`]/[`HostMask`] plus the
+//! `*_view` stage functions serve stage-level work;
+//! [`try_find_plotters_table_tier`] (flow table → report) and
+//! [`try_find_plotters_from_table`] (profile table → report) are the two
+//! whole-run entry points; and [`stream::DetectionEngine`] serves live
+//! feeds. Both entry points validate their configuration and return a
+//! typed [`Error`] for degenerate input. [`prelude`] re-exports what
+//! callers typically need.
 //!
 //! # Examples
 //!
 //! ```
-//! use pw_detect::{FindPlottersConfig, find_plotters};
+//! use pw_detect::{try_find_plotters_table_tier, Error, FindPlottersConfig, ProfileTier};
+//! use pw_flow::FlowTable;
 //! use std::collections::HashSet;
 //!
-//! let flows: Vec<pw_flow::FlowRecord> = Vec::new();
+//! let table = FlowTable::from_records(&[]);
 //! let internal: HashSet<std::net::Ipv4Addr> = HashSet::new();
-//! let report = find_plotters(&flows, |ip| internal.contains(&ip),
-//!                            &FindPlottersConfig::default());
-//! assert!(report.suspects.is_empty());
+//! let report = try_find_plotters_table_tier(&table, |ip| internal.contains(&ip),
+//!                                           &FindPlottersConfig::default(),
+//!                                           ProfileTier::Exact, 1);
+//! assert_eq!(report, Err(Error::EmptyWindow));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod compat;
 pub mod detectors;
 pub mod error;
 pub mod features;
@@ -72,16 +77,14 @@ pub use detectors::{
 };
 pub use error::{ConfigError, Error};
 pub use features::{
-    extract_profiles_table, extract_profiles_table_par, extract_profiles_table_par_tier,
-    extract_profiles_table_tier, internal_endpoint, HostMask, HostProfile, ProfileAccumulator,
+    extract_profiles_table_par_tier, internal_endpoint, HostMask, HostProfile, ProfileAccumulator,
     ProfileBuilder, ProfileRepr, ProfileTable, ProfileTier, ProfileView,
 };
 pub use multiday::MultiDayReport;
 pub use perport::{find_plotters_per_service, PerServiceReport, ServiceKey};
 pub use pipeline::{
-    find_plotters, find_plotters_from_table, find_plotters_table, try_find_plotters,
-    try_find_plotters_from_table, try_find_plotters_table, try_find_plotters_table_tier,
-    FindPlottersConfig, FindPlottersConfigBuilder, PlotterReport,
+    try_find_plotters_from_table, try_find_plotters_table_tier, FindPlottersConfig,
+    FindPlottersConfigBuilder, PlotterReport,
 };
 pub use rates::{rates_against, Rates};
 pub use reduction::initial_reduction_view;

@@ -20,8 +20,9 @@ use std::net::Ipv4Addr;
 
 use pw_flow::{FlowRecord, FlowTable, HostId, Proto};
 
-use crate::features::{border_host, extract_profiles_table, internal_flags};
-use crate::pipeline::{find_plotters_from_table, FindPlottersConfig};
+use crate::error::Error;
+use crate::features::{border_host, extract_profiles_table_par_tier, internal_flags, ProfileTier};
+use crate::pipeline::{try_find_plotters_from_table, FindPlottersConfig, PlotterReport};
 
 /// The application slice a flow belongs to, from the monitored host's
 /// perspective.
@@ -67,10 +68,11 @@ pub struct PerServiceReport {
     pub flagged_services: Vec<(Ipv4Addr, ServiceKey)>,
     /// Number of `(host, service)` pseudo-hosts evaluated.
     pub pseudo_hosts: usize,
-    /// The underlying pipeline report over pseudo-hosts (each pseudo-host
+    /// The underlying pipeline outcome over pseudo-hosts (each pseudo-host
     /// address resolves via [`PerServiceReport::resolve`]); exposed for
-    /// stage-level diagnostics.
-    pub inner: crate::pipeline::PlotterReport,
+    /// stage-level diagnostics. A slice population on which a stage cannot
+    /// resolve its threshold is an `Err` here and flags nothing.
+    pub inner: Result<PlotterReport, Error>,
     /// Pseudo-address → `(host, service)` mapping.
     pub pseudo_map: HashMap<Ipv4Addr, (Ipv4Addr, ServiceKey)>,
 }
@@ -172,11 +174,18 @@ where
         rewritten.push(g);
     }
     let pseudo_table = FlowTable::from_records(&rewritten);
-    let profiles = extract_profiles_table(&pseudo_table, |ip| u32::from(ip) >> 24 == 0x7F);
-    let report = find_plotters_from_table(&profiles, cfg);
+    let profiles = extract_profiles_table_par_tier(
+        &pseudo_table,
+        |ip| u32::from(ip) >> 24 == 0x7F,
+        ProfileTier::Exact,
+        1,
+    );
+    let report = try_find_plotters_from_table(&profiles, cfg, 1);
 
-    let mut flagged_services: Vec<(Ipv4Addr, ServiceKey)> =
-        report.suspects.iter().map(|p| real_of[p]).collect();
+    let mut flagged_services: Vec<(Ipv4Addr, ServiceKey)> = report
+        .iter()
+        .flat_map(|r| r.suspects.iter().map(|p| real_of[p]))
+        .collect();
     flagged_services.sort();
     let suspects = flagged_services.iter().map(|&(h, _)| h).collect();
     PerServiceReport {
@@ -297,11 +306,17 @@ mod tests {
 
         // Whole-host pipeline: infected hosts' volume is dominated by the
         // transfers, so the volume test misses them.
-        let whole = crate::pipeline::find_plotters(&flows, internal, &Default::default());
-        let (whole_s_vol, _) = (whole.s_vol.clone(), ());
+        let whole = crate::pipeline::try_find_plotters_table_tier(
+            &FlowTable::from_records(&flows),
+            internal,
+            &Default::default(),
+            ProfileTier::Exact,
+            1,
+        )
+        .unwrap();
         for h in 0..4u8 {
             assert!(
-                !whole_s_vol.contains(&Ipv4Addr::new(10, 1, 0, 1 + h)),
+                !whole.s_vol.contains(&Ipv4Addr::new(10, 1, 0, 1 + h)),
                 "host-level volume test should be blinded by trader bytes"
             );
         }
@@ -344,8 +359,11 @@ mod tests {
             ));
         }
         let per = find_plotters_per_service(&flows, internal, &Default::default(), 10);
-        // 30 one-flow slices pool into a single "other" pseudo-host.
+        // 30 one-flow slices pool into a single "other" pseudo-host, whose
+        // lone profile cannot resolve a percentile threshold.
         assert_eq!(per.pseudo_hosts, 1);
+        assert!(per.inner.is_err());
+        assert!(per.suspects.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use pw_flow::{FlowRecord, FlowTable};
+use pw_flow::FlowTable;
 
 use crate::detectors::{
     theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig,
@@ -12,8 +12,7 @@ use crate::detectors::{
 };
 use crate::error::{ConfigError, Error};
 use crate::features::{
-    extract_profiles_table, extract_profiles_table_par_tier, HostMask, ProfileTable, ProfileTier,
-    ProfileView,
+    extract_profiles_table_par_tier, HostMask, ProfileTable, ProfileTier, ProfileView,
 };
 use crate::reduction::initial_reduction_view;
 
@@ -188,17 +187,14 @@ pub struct PlotterReport {
     pub suspects: HashSet<Ipv4Addr>,
 }
 
-/// The staged pipeline shared by every entry point. In strict mode an
-/// empty window or an unresolvable percentile threshold is an [`Error`];
-/// in lenient mode (the historical `find_plotters` contract) those stages
-/// degrade to an empty set with threshold `0.0` and the run continues.
+/// The staged pipeline shared by both entry points. An empty window or an
+/// unresolvable percentile threshold is an [`Error`].
 pub(crate) fn run_stages(
     view: &ProfileView<'_>,
     cfg: &FindPlottersConfig,
     threads: usize,
-    strict: bool,
 ) -> Result<PlotterReport, Error> {
-    if strict && view.is_empty() {
+    if view.is_empty() {
         return Err(Error::EmptyWindow);
     }
     let all_hosts = HostMask::full(view.len());
@@ -207,11 +203,8 @@ pub(crate) fn run_stages(
     } else {
         (all_hosts.clone(), 0.0)
     };
-    let resolve = |out: Option<(HostMask, f64)>, stage| match out {
-        Some(v) => Ok(v),
-        None if strict => Err(Error::ThresholdUnresolvable { stage }),
-        None => Ok((HostMask::empty(view.len()), 0.0)),
-    };
+    let resolve =
+        |out: Option<(HostMask, f64)>, stage| out.ok_or(Error::ThresholdUnresolvable { stage });
     let (s_vol, tau_vol) = resolve(
         theta_vol_view(view, &after_reduction, cfg.tau_vol, threads),
         "theta_vol",
@@ -247,84 +240,23 @@ pub(crate) fn run_stages(
     })
 }
 
-/// Runs `FindPlotters` over raw flow records.
+/// Runs `FindPlotters` over an interned [`FlowTable`] — the batch path.
 ///
 /// `is_internal` identifies monitored hosts (the administrator knows her
-/// own address space). The records are interned into a [`FlowTable`] first;
-/// callers that already hold a table should use [`find_plotters_table`].
-pub fn find_plotters<F>(
-    flows: &[FlowRecord],
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-) -> PlotterReport
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    find_plotters_table(&FlowTable::from_records(flows), is_internal, cfg)
-}
-
-/// Runs `FindPlotters` over an interned [`FlowTable`] — the core batch
-/// path. Building the table once and reusing it across runs (threshold
-/// sweeps, per-service slices) avoids re-sorting and re-interning flows.
-pub fn find_plotters_table<F>(
-    table: &FlowTable,
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-) -> PlotterReport
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let profiles = extract_profiles_table(table, is_internal);
-    find_plotters_from_table(&profiles, cfg)
-}
-
-/// Runs `FindPlotters` over a pre-extracted [`ProfileTable`] (lets callers
-/// extract once and sweep configurations, as the ROC harness does),
-/// borrowing the table instead of re-sorting a map's keys.
-pub fn find_plotters_from_table(
-    profiles: &ProfileTable,
-    cfg: &FindPlottersConfig,
-) -> PlotterReport {
-    run_stages(&ProfileView::from_table(profiles), cfg, 1, false)
-        .expect("lenient pipeline is infallible")
-}
-
-/// [`find_plotters`] with validated configuration, typed failures, and
-/// host-sharded parallelism across `threads` scoped workers.
+/// own address space). The configuration is validated first; profiles are
+/// extracted at `tier` and every stage shards over `threads` scoped
+/// workers. Output is identical for any thread count (the percentile
+/// thresholds only see the — order-independent — multiset of per-host
+/// metrics). [`ProfileTier::Sketched`] holds a fixed byte budget per host
+/// (see [`crate::features::ProfileRepr`]) at the cost of approximate
+/// counts on very large hosts.
 ///
-/// Output is identical to the serial batch path for any thread count (the
-/// percentile thresholds only see the — order-independent — multiset of
-/// per-host metrics).
-pub fn try_find_plotters<F>(
-    flows: &[FlowRecord],
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-    threads: usize,
-) -> Result<PlotterReport, Error>
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    try_find_plotters_table(&FlowTable::from_records(flows), is_internal, cfg, threads)
-}
-
-/// [`find_plotters_table`] with validated configuration, typed failures,
-/// and host-sharded parallelism (see [`try_find_plotters`]).
-pub fn try_find_plotters_table<F>(
-    table: &FlowTable,
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-    threads: usize,
-) -> Result<PlotterReport, Error>
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    try_find_plotters_table_tier(table, is_internal, cfg, ProfileTier::Exact, threads)
-}
-
-/// [`try_find_plotters_table`] with an explicit profile representation
-/// tier: [`ProfileTier::Sketched`] holds a fixed byte budget per host (see
-/// [`crate::features::ProfileRepr`]) at the cost of approximate counts on
-/// very large hosts.
+/// # Errors
+///
+/// [`Error::Config`] for an invalid configuration or `threads == 0`,
+/// [`Error::EmptyWindow`] if no monitored host is observed, and
+/// [`Error::ThresholdUnresolvable`] if a percentile stage has no
+/// population to resolve against.
 pub fn try_find_plotters_table_tier<F>(
     table: &FlowTable,
     is_internal: F,
@@ -340,12 +272,13 @@ where
     }
     cfg.validate()?;
     let profiles = extract_profiles_table_par_tier(table, is_internal, tier, threads);
-    run_stages(&ProfileView::from_table(&profiles), cfg, threads, true)
+    run_stages(&ProfileView::from_table(&profiles), cfg, threads)
 }
 
-/// [`find_plotters_from_table`] with validated configuration, typed
-/// failures, and host-sharded parallelism — the streaming engine's
-/// window-close path.
+/// Runs `FindPlotters` over a pre-extracted [`ProfileTable`] — the
+/// streaming engine's window-close path, and the way to extract once and
+/// sweep configurations (as the ROC harness does). Same validation,
+/// errors and thread-count invariance as [`try_find_plotters_table_tier`].
 pub fn try_find_plotters_from_table(
     profiles: &ProfileTable,
     cfg: &FindPlottersConfig,
@@ -355,13 +288,13 @@ pub fn try_find_plotters_from_table(
         return Err(ConfigError::ZeroThreads.into());
     }
     cfg.validate()?;
-    run_stages(&ProfileView::from_table(profiles), cfg, threads, true)
+    run_stages(&ProfileView::from_table(profiles), cfg, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pw_flow::{FlowState, Payload, Proto};
+    use pw_flow::{FlowRecord, FlowState, Payload, Proto};
     use pw_netsim::{SimDuration, SimTime};
 
     fn internal(ip: Ipv4Addr) -> bool {
@@ -445,10 +378,20 @@ mod tests {
         flows
     }
 
+    /// The batch path over `flows` at the exact tier.
+    fn run(
+        flows: &[FlowRecord],
+        cfg: &FindPlottersConfig,
+        threads: usize,
+    ) -> Result<PlotterReport, Error> {
+        let table = FlowTable::from_records(flows);
+        try_find_plotters_table_tier(&table, internal, cfg, ProfileTier::Exact, threads)
+    }
+
     #[test]
     fn pipeline_finds_bots_not_traders_or_normals() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = run(&flows, &FindPlottersConfig::default(), 1).unwrap();
         for b in 1..=3u8 {
             assert!(
                 report.suspects.contains(&Ipv4Addr::new(10, 1, 0, b)),
@@ -473,7 +416,7 @@ mod tests {
     #[test]
     fn reduction_removes_low_failure_hosts() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = run(&flows, &FindPlottersConfig::default(), 1).unwrap();
         assert!(report.after_reduction.len() < report.all_hosts.len());
         // Normal hosts (4% failures) fall below the median.
         assert!(!report.after_reduction.contains(&Ipv4Addr::new(10, 2, 0, 1)));
@@ -487,7 +430,7 @@ mod tests {
     #[test]
     fn stage_sets_nest_properly() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = run(&flows, &FindPlottersConfig::default(), 1).unwrap();
         assert!(report.s_vol.is_subset(&report.after_reduction));
         assert!(report.s_churn.is_subset(&report.after_reduction));
         assert!(report.union.is_superset(&report.s_vol));
@@ -501,43 +444,29 @@ mod tests {
             with_reduction: false,
             ..Default::default()
         };
-        let report = find_plotters(&flows, internal, &cfg);
+        let report = run(&flows, &cfg, 1).unwrap();
         assert_eq!(report.after_reduction, report.all_hosts);
     }
 
     #[test]
-    fn empty_input_is_safe() {
-        let report = find_plotters(&[], internal, &FindPlottersConfig::default());
-        assert!(report.all_hosts.is_empty());
-        assert!(report.suspects.is_empty());
+    fn empty_input_is_a_typed_error() {
+        assert_eq!(
+            run(&[], &FindPlottersConfig::default(), 1),
+            Err(Error::EmptyWindow)
+        );
     }
 
     #[test]
-    fn profiles_entry_point_matches_flows_entry_point() {
-        let flows = mini_world();
-        let profiles = extract_profiles_table(&FlowTable::from_records(&flows), internal);
-        let a = find_plotters(&flows, internal, &FindPlottersConfig::default());
-        let b = find_plotters_from_table(&profiles, &FindPlottersConfig::default());
-        assert_eq!(a.suspects, b.suspects);
-        assert_eq!(a.tau_vol, b.tau_vol);
-    }
-
-    #[test]
-    fn table_entry_points_match_record_entry_points() {
+    fn table_and_profile_entry_points_agree() {
         let flows = mini_world();
         let cfg = FindPlottersConfig::default();
         let table = FlowTable::from_records(&flows);
-        let from_records = find_plotters(&flows, internal, &cfg);
-        let from_table = find_plotters_table(&table, internal, &cfg);
-        assert_eq!(from_records, from_table);
-        let profiles = extract_profiles_table(&table, internal);
-        assert_eq!(find_plotters_from_table(&profiles, &cfg), from_records);
+        let expected = run(&flows, &cfg, 1).unwrap();
+        let profiles = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
         for threads in [1usize, 4] {
-            let strict = try_find_plotters_table(&table, internal, &cfg, threads).unwrap();
-            assert_eq!(strict.suspects, from_records.suspects, "threads={threads}");
             let from_ptable = try_find_plotters_from_table(&profiles, &cfg, threads).unwrap();
-            assert_eq!(from_ptable.suspects, from_records.suspects);
-            assert_eq!(from_ptable.hm.tau.to_bits(), from_records.hm.tau.to_bits());
+            assert_eq!(from_ptable, expected, "threads={threads}");
+            assert_eq!(from_ptable.hm.tau.to_bits(), expected.hm.tau.to_bits());
         }
     }
 
@@ -589,18 +518,18 @@ mod tests {
     }
 
     #[test]
-    fn try_pipeline_matches_lenient_and_any_thread_count() {
+    fn pipeline_is_invariant_under_thread_count() {
         let flows = mini_world();
         let cfg = FindPlottersConfig::default();
-        let lenient = find_plotters(&flows, internal, &cfg);
-        for threads in [1usize, 2, 5, 16] {
-            let strict = try_find_plotters(&flows, internal, &cfg, threads).unwrap();
-            assert_eq!(lenient.suspects, strict.suspects, "threads={threads}");
-            assert_eq!(lenient.after_reduction, strict.after_reduction);
-            assert_eq!(lenient.tau_vol.to_bits(), strict.tau_vol.to_bits());
-            assert_eq!(lenient.tau_churn.to_bits(), strict.tau_churn.to_bits());
-            assert_eq!(lenient.hm.tau.to_bits(), strict.hm.tau.to_bits());
-            assert_eq!(lenient.hm.clusters, strict.hm.clusters);
+        let serial = run(&flows, &cfg, 1).unwrap();
+        for threads in [2usize, 5, 16] {
+            let par = run(&flows, &cfg, threads).unwrap();
+            assert_eq!(serial.suspects, par.suspects, "threads={threads}");
+            assert_eq!(serial.after_reduction, par.after_reduction);
+            assert_eq!(serial.tau_vol.to_bits(), par.tau_vol.to_bits());
+            assert_eq!(serial.tau_churn.to_bits(), par.tau_churn.to_bits());
+            assert_eq!(serial.hm.tau.to_bits(), par.hm.tau.to_bits());
+            assert_eq!(serial.hm.clusters, par.hm.clusters);
         }
     }
 
@@ -612,7 +541,7 @@ mod tests {
             Err(Error::EmptyWindow)
         );
         assert_eq!(
-            try_find_plotters(&mini_world(), internal, &cfg, 0),
+            run(&mini_world(), &cfg, 0),
             Err(Error::Config(ConfigError::ZeroThreads))
         );
     }

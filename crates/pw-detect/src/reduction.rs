@@ -13,8 +13,7 @@ use crate::features::{HostMask, ProfileView};
 
 /// The data-reduction core over a dense profile view: survivors as a
 /// [`HostMask`] plus the failed-rate threshold. All pipeline stages consume
-/// this form; [`crate::compat::initial_reduction`] adapts it to the
-/// deprecated map shape.
+/// this form.
 ///
 /// Only hosts that initiated at least one successful flow are eligible at
 /// all; of those, hosts whose failed-connection rate exceeds the median are

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, find_plotters, FindPlottersConfig,
+    extract_profiles_table_par_tier, try_find_plotters_table_tier, FindPlottersConfig, ProfileTier,
 };
 use pw_flow::{FlowRecord, FlowState, FlowTable, Payload, Proto};
 use pw_netsim::{SimDuration, SimTime};
@@ -76,8 +76,8 @@ proptest! {
     ) {
         let flows = flows_from(&seeds);
         let table = FlowTable::from_records(&flows);
-        let serial = extract_profiles_table(&table, internal);
-        let sharded = extract_profiles_table_par(&table, internal, threads);
+        let serial = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
+        let sharded = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
         prop_assert_eq!(serial, sharded);
     }
 
@@ -87,7 +87,14 @@ proptest! {
         threads in 1usize..5,
     ) {
         let flows = flows_from(&seeds);
-        let batch = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let table = FlowTable::from_records(&flows);
+        let batch = try_find_plotters_table_tier(
+            &table,
+            internal,
+            &FindPlottersConfig::default(),
+            ProfileTier::Exact,
+            1,
+        );
 
         let cfg = EngineConfig {
             window: SimDuration::from_hours(2),
@@ -104,35 +111,7 @@ proptest! {
         let mut reports = engine.finish();
         prop_assert_eq!(reports.len(), 1);
         let report = reports.pop().unwrap();
-        match report.outcome {
-            Ok(streamed) => {
-                prop_assert_eq!(&streamed.suspects, &batch.suspects);
-                prop_assert_eq!(streamed.tau_vol.to_bits(), batch.tau_vol.to_bits());
-                prop_assert_eq!(streamed.tau_churn.to_bits(), batch.tau_churn.to_bits());
-                prop_assert_eq!(streamed.hm.tau.to_bits(), batch.hm.tau.to_bits());
-                prop_assert_eq!(&streamed.hm.clusters, &batch.hm.clusters);
-                prop_assert_eq!(&streamed.all_hosts, &batch.all_hosts);
-                prop_assert_eq!(&streamed.after_reduction, &batch.after_reduction);
-            }
-            Err(pw_detect::Error::EmptyWindow) => {
-                prop_assert!(batch.all_hosts.is_empty());
-            }
-            Err(pw_detect::Error::ThresholdUnresolvable { stage }) => {
-                // Strict mode refuses what the lenient batch path papers
-                // over as an empty stage with threshold 0.0.
-                match stage {
-                    "theta_vol" => {
-                        prop_assert!(batch.s_vol.is_empty());
-                        prop_assert_eq!(batch.tau_vol, 0.0);
-                    }
-                    _ => {
-                        prop_assert!(batch.s_churn.is_empty());
-                        prop_assert_eq!(batch.tau_churn, 0.0);
-                    }
-                }
-            }
-            Err(e) => prop_assert!(false, "unexpected error {e}"),
-        }
+        prop_assert_eq!(report.outcome, batch);
     }
 
     #[test]

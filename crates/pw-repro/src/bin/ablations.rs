@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use pw_detect::{
-    find_plotters_from_table, FindPlottersConfig, HistogramDistance, HmOptions, Threshold,
+    try_find_plotters_from_table, FindPlottersConfig, HistogramDistance, HmOptions, Threshold,
 };
 use pw_repro::{build_context, stages, table, Context, Scale};
 
@@ -165,7 +165,9 @@ fn main() {
         let mut tprs = Vec::new();
         let mut fprs = Vec::new();
         for day in &ctx.days {
-            let report = find_plotters_from_table(&day.profiles, &FindPlottersConfig::default());
+            let report =
+                try_find_plotters_from_table(&day.profiles, &FindPlottersConfig::default(), 1)
+                    .expect("campus day yields a verdict");
             let bots: HashSet<Ipv4Addr> =
                 day.storm_hosts.union(&day.nugache_hosts).copied().collect();
             tprs.push(report.suspects.intersection(&bots).count() as f64 / bots.len() as f64);

@@ -14,7 +14,10 @@ use std::net::Ipv4Addr;
 
 use pw_botnet::{generate_storm_trace, StormConfig};
 use pw_data::{build_day, overlay_bots, overlay_bots_onto};
-use pw_detect::{find_plotters, find_plotters_per_service, FindPlottersConfig};
+use pw_detect::{
+    find_plotters_per_service, try_find_plotters_table_tier, FindPlottersConfig, ProfileTier,
+};
+use pw_flow::FlowTable;
 use pw_repro::{table, Scale};
 
 fn main() {
@@ -44,7 +47,14 @@ fn main() {
         // Scenario 1: random implants, whole-host detection.
         let random = overlay_bots(&day, &[&storm], cfg.campus.seed ^ d as u64);
         let storm_hosts_r: HashSet<Ipv4Addr> = random.implants.keys().copied().collect();
-        let whole_r = find_plotters(&random.flows, |ip| day.is_internal(ip), &pipeline_cfg);
+        let whole_r = try_find_plotters_table_tier(
+            &FlowTable::from_records(&random.flows),
+            |ip| day.is_internal(ip),
+            &pipeline_cfg,
+            ProfileTier::Exact,
+            1,
+        )
+        .expect("campus day yields a verdict");
         let tpr_random = whole_r.suspects.intersection(&storm_hosts_r).count() as f64
             / storm_hosts_r.len() as f64;
 
@@ -63,7 +73,14 @@ fn main() {
         let adversarial = overlay_bots_onto(&day, &[&storm], &targets);
         let storm_hosts_a: HashSet<Ipv4Addr> = targets.iter().copied().collect();
 
-        let whole_a = find_plotters(&adversarial.flows, |ip| day.is_internal(ip), &pipeline_cfg);
+        let whole_a = try_find_plotters_table_tier(
+            &FlowTable::from_records(&adversarial.flows),
+            |ip| day.is_internal(ip),
+            &pipeline_cfg,
+            ProfileTier::Exact,
+            1,
+        )
+        .expect("campus day yields a verdict");
         let tpr_whole = whole_a.suspects.intersection(&storm_hosts_a).count() as f64
             / storm_hosts_a.len() as f64;
 

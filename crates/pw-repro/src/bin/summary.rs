@@ -3,7 +3,7 @@
 //! profile of day 0 (the [`ThetaHmConfig::profile`] switch surfaced here
 //! instead of hand-pasted bench numbers).
 
-use pw_detect::{find_plotters_from_table, FindPlottersConfig, ThetaHmConfig};
+use pw_detect::{try_find_plotters_from_table, FindPlottersConfig, ThetaHmConfig};
 use pw_repro::figures::{fig05_failed_cdfs, fig09_pipeline};
 use pw_repro::{build_context, table, Scale};
 
@@ -60,7 +60,8 @@ fn main() {
         },
         ..Default::default()
     };
-    let report = find_plotters_from_table(&ctx.days[0].profiles, &cfg);
+    let report = try_find_plotters_from_table(&ctx.days[0].profiles, &cfg, 1)
+        .expect("campus day yields a verdict");
     if let Some(p) = report.hm.profile {
         let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
         let rows = vec![

@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pw_detect::{
-    find_plotters_from_table, theta_hm_view, BucketedHmParams, FindPlottersConfig, HmOptions,
+    theta_hm_view, try_find_plotters_from_table, BucketedHmParams, FindPlottersConfig, HmOptions,
     HmOutcome, HostMask, HostProfile, ProfileRepr, ProfileView, ThetaHmConfig, ThetaHmMode,
     ThetaHmProfile,
 };
@@ -264,9 +264,12 @@ fn main() -> ExitCode {
     };
     let mut rows = Vec::new();
     for (i, day) in ctx.days.iter().enumerate() {
-        let exact = find_plotters_from_table(&day.profiles, &cfg_exact);
-        let auto = find_plotters_from_table(&day.profiles, &cfg_auto);
-        let forced = find_plotters_from_table(&day.profiles, &cfg_forced);
+        let exact = try_find_plotters_from_table(&day.profiles, &cfg_exact, 1)
+            .expect("campus day yields a verdict");
+        let auto = try_find_plotters_from_table(&day.profiles, &cfg_auto, 1)
+            .expect("campus day yields a verdict");
+        let forced = try_find_plotters_from_table(&day.profiles, &cfg_forced, 1)
+            .expect("campus day yields a verdict");
         let diverged = exact.suspects.symmetric_difference(&auto.suspects).count();
         if diverged != 0 {
             failures.push(format!(

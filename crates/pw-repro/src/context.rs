@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use pw_botnet::BotFamily;
 use pw_data::{run_experiment, DayRun, ExperimentConfig};
-use pw_detect::{extract_profiles_table, ProfileTable};
+use pw_detect::{extract_profiles_table_par_tier, ProfileTable, ProfileTier};
 use pw_flow::FlowTable;
 use pw_netsim::SimDuration;
 
@@ -68,9 +68,12 @@ impl DayContext {
     fn new(run: DayRun) -> Self {
         let overlaid = &run.overlaid;
         let base = &overlaid.base;
-        let profiles = extract_profiles_table(&FlowTable::from_records(&overlaid.flows), |ip| {
-            base.is_internal(ip)
-        });
+        let profiles = extract_profiles_table_par_tier(
+            &FlowTable::from_records(&overlaid.flows),
+            |ip| base.is_internal(ip),
+            ProfileTier::Exact,
+            1,
+        );
         let storm_hosts = overlaid
             .implanted_hosts(BotFamily::Storm)
             .into_iter()

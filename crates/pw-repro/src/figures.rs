@@ -11,8 +11,8 @@ use pw_analysis::{Ecdf, Histogram, RocCurve, RocPoint};
 use pw_botnet::{apply_evasion, BotTrace, EvasionConfig};
 use pw_data::overlay_bots;
 use pw_detect::{
-    extract_profiles_table, find_plotters_from_table, FindPlottersConfig, HostProfile,
-    ProfileTable, Threshold,
+    extract_profiles_table_par_tier, try_find_plotters_from_table, try_find_plotters_table_tier,
+    FindPlottersConfig, HostProfile, ProfileTable, ProfileTier, Threshold,
 };
 use pw_flow::signatures::P2pApp;
 use pw_flow::FlowTable;
@@ -62,14 +62,22 @@ pub fn profiles_of_trace(trace: &BotTrace) -> ProfileTable {
         .collect();
     all.sort_by_key(|f| (f.start, f.src, f.sport, f.dst, f.dport, f.end));
     all.dedup();
-    extract_profiles_table(&FlowTable::from_records(&all), |ip| bot_ips.contains(&ip))
+    extract_profiles_table_par_tier(
+        &FlowTable::from_records(&all),
+        |ip| bot_ips.contains(&ip),
+        ProfileTier::Exact,
+        1,
+    )
 }
 
 fn base_profiles(day: &DayContext) -> ProfileTable {
     let base = &day.run.overlaid.base;
-    extract_profiles_table(&FlowTable::from_records(&base.flows), |ip| {
-        base.is_internal(ip)
-    })
+    extract_profiles_table_par_tier(
+        &FlowTable::from_records(&base.flows),
+        |ip| base.is_internal(ip),
+        ProfileTier::Exact,
+        1,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -519,7 +527,8 @@ pub fn fig09_pipeline(ctx: &Context) -> PipelineFig {
     let mut trader_share = Vec::new();
 
     for day in &ctx.days {
-        let report = find_plotters_from_table(&day.profiles, &cfg);
+        let report = try_find_plotters_from_table(&day.profiles, &cfg, 1)
+            .expect("campus day yields a verdict");
         let traders_not_implanted: HashSet<Ipv4Addr> =
             day.traders.difference(&day.implanted).copied().collect();
         let sets: [&HashSet<Ipv4Addr>; 6] = [
@@ -606,7 +615,8 @@ pub fn fig10_nugache_flow_counts(ctx: &Context) -> Vec<(String, Vec<f64>)> {
         ("after θ_hm".into(), Vec::new()),
     ];
     for day in &ctx.days {
-        let report = find_plotters_from_table(&day.profiles, &cfg);
+        let report = try_find_plotters_from_table(&day.profiles, &cfg, 1)
+            .expect("campus day yields a verdict");
         // Sorted so the per-stage point vectors are byte-stable run to run.
         let mut nugache: Vec<_> = day.nugache_hosts.iter().collect();
         nugache.sort_unstable();
@@ -741,11 +751,14 @@ pub fn fig12_jitter_sweep(ctx: &Context) -> Vec<JitterRow> {
                 let implants_seed = ctx.cfg.campus.seed ^ di as u64 ^ (placement << 17);
                 let overlaid =
                     overlay_bots(&day.run.overlaid.base, &[storm_t, nugache_t], implants_seed);
-                let profiles =
-                    extract_profiles_table(&FlowTable::from_records(&overlaid.flows), |ip| {
-                        day.run.overlaid.base.is_internal(ip)
-                    });
-                let report = find_plotters_from_table(&profiles, &cfg);
+                let report = try_find_plotters_table_tier(
+                    &FlowTable::from_records(&overlaid.flows),
+                    |ip| day.run.overlaid.base.is_internal(ip),
+                    &cfg,
+                    ProfileTier::Exact,
+                    1,
+                )
+                .expect("campus day yields a verdict");
                 let storm_hosts: HashSet<Ipv4Addr> = overlaid
                     .implanted_hosts(pw_botnet::BotFamily::Storm)
                     .into_iter()

@@ -5,9 +5,9 @@
 //! individual pipeline stages in that shape too. These helpers build a
 //! [`ProfileView`] over a day's [`ProfileTable`], run one canonical
 //! `*_view` stage, and convert the surviving [`pw_detect::HostMask`] back
-//! to IPs. Like the lenient batch pipeline, an unresolvable threshold
-//! yields an empty set with threshold `0.0` rather than an error — the
-//! figures average over days and treat an empty stage as zero survival.
+//! to IPs. An unresolvable threshold yields an empty set with threshold
+//! `0.0` rather than an error — the figures average over days and treat
+//! an empty stage as zero survival.
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;

@@ -19,11 +19,11 @@
 //! checksum crc32=<8 hex digits>
 //! ```
 //!
-//! Version 2 appends the same `checksum crc32=` integrity trailer as the
-//! v3 engine format, covering the whole file (including the embedded
-//! engine text, which carries its own trailer — the outer trailer is
-//! stripped before the engine section is handed to the engine parser).
-//! Version 1 files (no trailer) still parse. Retention and fallback
+//! The final line is the same `checksum crc32=` integrity trailer as the
+//! engine format, covering the whole file (including the embedded engine
+//! text, which carries its own trailer — the outer trailer is stripped
+//! before the engine section is handed to the engine parser). This is the
+//! only format read or written; any other header is refused. Retention and fallback
 //! recovery reuse [`pw_detect::checkpoint::write_text_retained`] and
 //! [`pw_detect::checkpoint::recover_with`], so a torn or bit-flipped
 //! primary falls back to the newest verifiable `<path>.k` snapshot.
@@ -34,17 +34,13 @@ use std::io;
 use std::path::Path;
 
 use pw_detect::checkpoint::{
-    append_checksum_trailer, recover_with, split_checksum_trailer, write_text_retained,
-    CheckpointError, EngineCheckpoint, Recovered,
+    append_checksum_trailer, check_magic, recover_with, split_checksum_trailer,
+    write_text_retained, CheckpointError, EngineCheckpoint, Recovered,
 };
 
-/// Magic first line; the version suffix gates format evolution. Version 2
-/// requires the `checksum crc32=` trailer.
+/// Magic first line; the version suffix gates format evolution. The
+/// format requires the `checksum crc32=` trailer.
 pub const SERVER_MAGIC: &str = "peerwatch-server-checkpoint v2";
-
-/// The version-1 format, still accepted by [`ServerCheckpoint::parse`]:
-/// same sections, no integrity trailer.
-pub const SERVER_MAGIC_V1: &str = "peerwatch-server-checkpoint v1";
 
 /// A consistent snapshot of everything a restarted server needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,22 +75,11 @@ impl ServerCheckpoint {
     /// [`CheckpointError`] describing the offending line; the embedded
     /// engine section reports its own line numbers relative to itself.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
-        // v2 files verify (and shed) the outer trailer first, so the
-        // embedded engine text below ends at the engine's own trailer.
-        let text = if text.starts_with(SERVER_MAGIC) {
-            split_checksum_trailer(text)?
-        } else {
-            text
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(CheckpointError::BadMagic {
-            found: String::new(),
-        })?;
-        if magic != SERVER_MAGIC && magic != SERVER_MAGIC_V1 {
-            return Err(CheckpointError::BadMagic {
-                found: magic.to_owned(),
-            });
-        }
+        // Verify (and shed) the outer trailer first, so the embedded
+        // engine text below ends at the engine's own trailer.
+        check_magic(text, SERVER_MAGIC)?;
+        let text = split_checksum_trailer(text)?;
+        let mut lines = text.lines().enumerate().skip(1);
         let (n, header) = lines.next().ok_or(CheckpointError::Format {
             line: 2,
             reason: "missing `exporters N` line".to_owned(),
@@ -155,11 +140,7 @@ impl ServerCheckpoint {
 ///
 /// Any I/O error from writing or renaming.
 pub fn write_server_checkpoint(path: &Path, snapshot: &ServerCheckpoint) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, snapshot.serialize())?;
-    fs::rename(&tmp, path)
+    write_text_retained(path, &snapshot.serialize(), 0)
 }
 
 /// Reads a checkpoint back from disk.
@@ -240,37 +221,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Re-seals `body` (a checkpoint without its outer trailer) so the
+    /// line parser, not the checksum, judges it.
+    fn sealed(body: &str) -> String {
+        let mut text = body.to_owned();
+        append_checksum_trailer(&mut text);
+        text
+    }
+
     #[test]
     fn corruption_is_refused_with_line_context() {
-        let ckpt = sample();
-        // Downgrade to the trailer-less v1 form so line-level diagnoses
-        // are reachable (on v2, the checksum trips first).
-        let text = ckpt
-            .serialize()
-            .replacen(SERVER_MAGIC, SERVER_MAGIC_V1, 1)
-            .strip_suffix('\n')
-            .unwrap()
-            .rsplit_once('\n')
-            .map(|(body, _trailer)| format!("{body}\n"))
-            .unwrap();
-        assert!(ServerCheckpoint::parse(&text).is_ok(), "v1 still parses");
+        let text = sample().serialize();
+        let body = split_checksum_trailer(&text).unwrap();
+        assert!(ServerCheckpoint::parse(&sealed(body)).is_ok());
 
         assert!(matches!(
             ServerCheckpoint::parse("peerwatch-checkpoint v1\n"),
             Err(CheckpointError::BadMagic { .. })
         ));
-        let truncated = "peerwatch-server-checkpoint v1\nexporters 3\nexporter 1 5\n";
+        let truncated = sealed("peerwatch-server-checkpoint v2\nexporters 3\nexporter 1 5\n");
         assert!(matches!(
-            ServerCheckpoint::parse(truncated),
+            ServerCheckpoint::parse(&truncated),
             Err(CheckpointError::Format { .. })
         ));
-        let dup = text.replace("exporter 7 911", "exporter 1 911");
+        let dup = sealed(&body.replace("exporter 7 911", "exporter 1 911"));
         assert!(matches!(
             ServerCheckpoint::parse(&dup),
-            Err(CheckpointError::Format { reason, .. }) if reason.contains("duplicate")
+            Err(CheckpointError::Format { line: 4, reason }) if reason.contains("duplicate")
         ));
-        let garbled = text.replace("exporter 7 911", "exporter seven 911");
-        assert!(ServerCheckpoint::parse(&garbled).is_err());
+        let garbled = sealed(&body.replace("exporter 7 911", "exporter seven 911"));
+        assert!(matches!(
+            ServerCheckpoint::parse(&garbled),
+            Err(CheckpointError::Format { line: 4, .. })
+        ));
     }
 
     #[test]

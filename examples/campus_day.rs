@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use peerwatch::botnet::BotFamily;
 use peerwatch::data::{label_traders_by_payload_table, run_experiment, ExperimentConfig};
-use peerwatch::detect::{find_plotters_table, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
 
 fn main() {
     let cfg = ExperimentConfig {
@@ -45,11 +45,14 @@ fn main() {
     }
 
     // Run the detector over the same table.
-    let report = find_plotters_table(
+    let report = try_find_plotters_table_tier(
         &table,
         |ip| base.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("campus day yields a verdict");
     let storm: HashSet<Ipv4Addr> = overlaid
         .implanted_hosts(BotFamily::Storm)
         .into_iter()

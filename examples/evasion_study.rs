@@ -19,7 +19,10 @@ use peerwatch::botnet::{
     EvasionConfig, NugacheConfig, StormConfig,
 };
 use peerwatch::data::{build_day, overlay_bots, CampusConfig, DayDataset};
-use peerwatch::detect::{find_plotters, FindPlottersConfig, PlotterReport};
+use peerwatch::detect::{
+    try_find_plotters_table_tier, FindPlottersConfig, PlotterReport, ProfileTier,
+};
+use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
 struct Outcome {
@@ -31,11 +34,14 @@ struct Outcome {
 
 fn evaluate(day: &DayDataset, storm: &BotTrace, nugache: &BotTrace) -> Outcome {
     let overlaid = overlay_bots(day, &[storm, nugache], 42);
-    let report: PlotterReport = find_plotters(
-        &overlaid.flows,
+    let report: PlotterReport = try_find_plotters_table_tier(
+        &FlowTable::from_records(&overlaid.flows),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("campus day yields a verdict");
     let bots: HashSet<Ipv4Addr> = overlaid
         .implanted_hosts(BotFamily::Storm)
         .into_iter()

@@ -9,7 +9,8 @@ use peerwatch::botnet::{
     generate_nugache_trace, generate_storm_trace, BotFamily, NugacheConfig, StormConfig,
 };
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::{find_plotters, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
+use peerwatch::flow::FlowTable;
 
 fn main() {
     // 1. One day of border traffic for a full-size campus. (The detector's
@@ -56,11 +57,14 @@ fn main() {
     let implanted_nugache = overlaid.implanted_hosts(BotFamily::Nugache);
 
     // 4. Run the detector on nothing but the flow records.
-    let report = find_plotters(
-        &overlaid.flows,
+    let report = try_find_plotters_table_tier(
+        &FlowTable::from_records(&overlaid.flows),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("campus day yields a verdict");
     println!(
         "\npipeline: {} hosts -> {} after reduction -> {} in S_vol ∪ S_churn -> {} suspects",
         report.all_hosts.len(),

@@ -10,9 +10,9 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings + deprecated API use)"
-# `-D deprecated` keeps the workspace itself off the `pw_detect::compat`
-# legacy surface; the compat parity tests opt back in with
-# `#[allow(deprecated)]`.
+# `-D deprecated` keeps the workspace off any item marked `#[deprecated]`:
+# a superseded API is deleted and its callers migrated, not kept behind a
+# deprecation marker.
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> pw-lint (determinism + concurrency/resource-safety rules + dependency policy)"

@@ -7,9 +7,10 @@ use std::net::Ipv4Addr;
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, overlay_bots_onto, CampusConfig};
 use peerwatch::detect::{
-    find_plotters, find_plotters_per_service, tdg_scan, FindPlottersConfig, MultiDayReport,
-    TdgConfig,
+    find_plotters_per_service, tdg_scan, try_find_plotters_table_tier, FindPlottersConfig,
+    MultiDayReport, ProfileTier, TdgConfig,
 };
+use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
 fn campus() -> CampusConfig {
@@ -127,7 +128,7 @@ fn per_service_split_unmasks_stealth_bots_hiding_on_traders() {
         "no bot flagged on udp/7871"
     );
     // The report's pseudo-host mapping is consistent.
-    for pseudo in &per.inner.suspects {
+    for pseudo in &per.inner.as_ref().unwrap().suspects {
         assert!(per.resolve(*pseudo).is_some());
     }
 }
@@ -145,11 +146,16 @@ fn multiday_corroboration_reduces_false_positives() {
     for d in 0..3 {
         let day = build_day(&cfg, d);
         let overlaid = overlay_bots_onto(&day, &[&storm], &targets);
-        reports.push(find_plotters(
-            &overlaid.flows,
-            |ip| day.is_internal(ip),
-            &FindPlottersConfig::default(),
-        ));
+        reports.push(
+            try_find_plotters_table_tier(
+                &FlowTable::from_records(&overlaid.flows),
+                |ip| day.is_internal(ip),
+                &FindPlottersConfig::default(),
+                ProfileTier::Exact,
+                1,
+            )
+            .unwrap(),
+        );
     }
     let md = MultiDayReport::from_reports(reports.iter());
     let r1 = md.rates_at(1, &positives);

@@ -8,13 +8,14 @@ use std::net::Ipv4Addr;
 
 use peerwatch::detect::checkpoint::{
     read_checkpoint, read_checkpoint_recover, retained_path, write_checkpoint,
-    write_checkpoint_retained, CheckpointError, EngineCheckpoint, MAGIC, MAGIC_V2,
+    write_checkpoint_retained, CheckpointError, EngineCheckpoint, MAGIC,
 };
 use peerwatch::detect::stream::{
     DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
 };
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
+use peerwatch::server::checkpoint::{ServerCheckpoint, SERVER_MAGIC};
 
 fn internal(ip: Ipv4Addr) -> bool {
     ip.octets()[0] == 10
@@ -433,37 +434,47 @@ fn kill_nine_mid_write_recovers_from_last_good_retained_snapshot() {
     std::fs::remove_file(retained_path(&path, 1)).ok();
 }
 
+/// Rewrites the format digit ending `magic` to `older` and edits one body
+/// byte, as a downgrade attack on the integrity trailer would: an older,
+/// trailer-less version plus a forged field.
+fn downgraded(text: &str, magic: &str, older: u8) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    assert!(text.starts_with(magic));
+    bytes[magic.len() - 1] = older;
+    let at = text.find("watermark_ms=").expect("state line") + "watermark_ms=".len();
+    bytes[at] = if bytes[at] == b'9' { b'8' } else { b'9' };
+    String::from_utf8(bytes).unwrap()
+}
+
 #[test]
-fn previous_format_checkpoint_files_still_restore() {
-    // A v2-era file (no integrity trailer) written by an older build must
-    // keep restoring byte-identically under the v3 reader.
+fn downgraded_checkpoint_magic_is_refused() {
     let flows = feed();
-    let cut = flows.len() / 2;
     let mut eng = DetectionEngine::new(cfg(1), internal as fn(Ipv4Addr) -> bool).unwrap();
-    let mut reports = Vec::new();
-    for f in &flows[..cut] {
-        reports.extend(eng.push(*f).unwrap());
+    for f in &flows[..flows.len() / 2] {
+        eng.push(*f).unwrap();
     }
     let snap = eng.checkpoint();
-    drop(eng);
 
-    let v3 = snap.serialize();
-    let body = v3
-        .strip_suffix('\n')
-        .and_then(|t| t.rsplit_once('\n'))
-        .map(|(body, _trailer)| format!("{body}\n"))
-        .unwrap();
-    let v2 = body.replacen(MAGIC, MAGIC_V2, 1);
-    let path = temp_ckpt("v2-era.ckpt");
-    std::fs::write(&path, v2).unwrap();
+    // Engine checkpoint: `v3` → `v2` (one flipped bit), the trailer-less
+    // format it replaced.
+    let forged = downgraded(&snap.serialize(), MAGIC, b'3' ^ 0x01);
+    assert!(forged.starts_with("peerwatch-checkpoint v2\n"));
+    let err = EngineCheckpoint::parse(&forged).unwrap_err();
+    assert!(
+        matches!(&err, CheckpointError::BadMagic { found } if found.ends_with("v2")),
+        "{err}"
+    );
 
-    let read = read_checkpoint(&path).unwrap();
-    assert_eq!(read, snap, "a v2 file carries the full v3 state");
-    let mut revived = DetectionEngine::restore(&read, internal as fn(Ipv4Addr) -> bool).unwrap();
-    for f in &flows[cut..] {
-        reports.extend(revived.push(*f).unwrap());
-    }
-    reports.extend(revived.finish());
-    assert_eq!(reports, straight_run(&flows, cfg(1)));
-    std::fs::remove_file(&path).ok();
+    // Server checkpoint: `v2` → `v1`, likewise trailer-less before.
+    let server = ServerCheckpoint {
+        exporters: [(1u32, 17u64)].into_iter().collect(),
+        engine: snap,
+    };
+    let forged = downgraded(&server.serialize(), SERVER_MAGIC, b'1');
+    assert!(forged.starts_with("peerwatch-server-checkpoint v1\n"));
+    let err = ServerCheckpoint::parse(&forged).unwrap_err();
+    assert!(
+        matches!(&err, CheckpointError::BadMagic { found } if found.ends_with("v1")),
+        "{err}"
+    );
 }

@@ -2,8 +2,11 @@
 //! seed, so whole experiments replay bit-for-bit.
 
 use peerwatch::botnet::{generate_nugache_trace, generate_storm_trace, NugacheConfig, StormConfig};
-use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::{find_plotters, FindPlottersConfig};
+use peerwatch::data::{build_day, overlay_bots, CampusConfig, DayDataset};
+use peerwatch::detect::{
+    try_find_plotters_table_tier, FindPlottersConfig, PlotterReport, ProfileTier,
+};
+use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::SimDuration;
 
 fn campus(seed: u64) -> CampusConfig {
@@ -19,6 +22,18 @@ fn campus(seed: u64) -> CampusConfig {
         duration: SimDuration::from_hours(4),
         ..CampusConfig::default()
     }
+}
+
+/// The batch pipeline at the paper's operating point.
+fn detect(flows: &[FlowRecord], day: &DayDataset) -> PlotterReport {
+    try_find_plotters_table_tier(
+        &FlowTable::from_records(flows),
+        |ip| day.is_internal(ip),
+        &FindPlottersConfig::default(),
+        ProfileTier::Exact,
+        1,
+    )
+    .unwrap()
 }
 
 #[test]
@@ -43,11 +58,7 @@ fn full_run_is_bit_for_bit_reproducible() {
             2,
         );
         let overlaid = overlay_bots(&day, &[&storm, &nugache], 9);
-        let report = find_plotters(
-            &overlaid.flows,
-            |ip| day.is_internal(ip),
-            &FindPlottersConfig::default(),
-        );
+        let report = detect(&overlaid.flows, &day);
         (overlaid.flows, overlaid.implants, report.suspects)
     };
     let (flows_a, implants_a, suspects_a) = run();
@@ -88,19 +99,11 @@ fn detection_is_stable_across_csv_round_trip() {
         4,
     );
     let overlaid = overlay_bots(&day, &[&storm], 5);
-    let direct = find_plotters(
-        &overlaid.flows,
-        |ip| day.is_internal(ip),
-        &FindPlottersConfig::default(),
-    );
+    let direct = detect(&overlaid.flows, &day);
     let mut buf = Vec::new();
     peerwatch::flow::csvio::write_flows(&mut buf, &overlaid.flows).expect("write");
     let reloaded = peerwatch::flow::csvio::read_flows(buf.as_slice()).expect("read");
-    let indirect = find_plotters(
-        &reloaded,
-        |ip| day.is_internal(ip),
-        &FindPlottersConfig::default(),
-    );
+    let indirect = detect(&reloaded, &day);
     assert_eq!(direct.suspects, indirect.suspects);
     assert_eq!(direct.tau_vol, indirect.tau_vol);
     assert_eq!(direct.tau_churn, indirect.tau_churn);

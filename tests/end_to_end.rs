@@ -10,7 +10,10 @@ use peerwatch::botnet::{
     generate_nugache_trace, generate_storm_trace, BotFamily, NugacheConfig, StormConfig,
 };
 use peerwatch::data::{build_day, label_traders_by_payload, overlay_bots, CampusConfig, HostRole};
-use peerwatch::detect::{extract_profiles_table, find_plotters, FindPlottersConfig, Threshold};
+use peerwatch::detect::{
+    extract_profiles_table_par_tier, try_find_plotters_table_tier, FindPlottersConfig, ProfileTier,
+    Threshold,
+};
 use peerwatch::flow::signatures::P2pApp;
 use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
@@ -63,7 +66,14 @@ fn pipeline_detects_implanted_storm_with_bounded_false_positives() {
         .tau_hm(Threshold::Absolute(3000.0))
         .build()
         .expect("valid config");
-    let report = find_plotters(&overlaid.flows, |ip| day.is_internal(ip), &cfg);
+    let report = try_find_plotters_table_tier(
+        &FlowTable::from_records(&overlaid.flows),
+        |ip| day.is_internal(ip),
+        &cfg,
+        ProfileTier::Exact,
+        1,
+    )
+    .unwrap();
 
     let storm_hosts: HashSet<Ipv4Addr> = overlaid
         .implanted_hosts(BotFamily::Storm)
@@ -130,12 +140,18 @@ fn implanted_host_profiles_inherit_bot_features() {
         9,
     );
     let overlaid = overlay_bots(&day, &[&storm], 3);
-    let profiles = extract_profiles_table(&FlowTable::from_records(&overlaid.flows), |ip| {
-        day.is_internal(ip)
-    });
-    let base_profiles = extract_profiles_table(&FlowTable::from_records(&day.flows), |ip| {
-        day.is_internal(ip)
-    });
+    let profiles = extract_profiles_table_par_tier(
+        &FlowTable::from_records(&overlaid.flows),
+        |ip| day.is_internal(ip),
+        ProfileTier::Exact,
+        1,
+    );
+    let base_profiles = extract_profiles_table_par_tier(
+        &FlowTable::from_records(&day.flows),
+        |ip| day.is_internal(ip),
+        ProfileTier::Exact,
+        1,
+    );
 
     for host in overlaid.implanted_hosts(BotFamily::Storm) {
         let with_bot = profiles.get(host).expect("implant has a profile");
@@ -182,11 +198,14 @@ fn trader_dhts_run_on_the_real_overlay() {
 fn reduction_threshold_is_population_relative() {
     let campus = small_campus();
     let day = build_day(&campus, 0);
-    let report = find_plotters(
-        &day.flows,
+    let report = try_find_plotters_table_tier(
+        &FlowTable::from_records(&day.flows),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .unwrap();
     // Roughly half of eligible hosts survive a median split.
     let all = report.all_hosts.len() as f64;
     let kept = report.after_reduction.len() as f64;

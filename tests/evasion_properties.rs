@@ -3,7 +3,7 @@
 use peerwatch::botnet::{
     apply_evasion, generate_storm_trace, BotTrace, EvasionConfig, StormConfig,
 };
-use peerwatch::detect::{extract_profiles_table, HostProfile, ProfileTable};
+use peerwatch::detect::{extract_profiles_table_par_tier, HostProfile, ProfileTable, ProfileTier};
 use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
@@ -28,7 +28,12 @@ fn trace_profiles(t: &BotTrace) -> ProfileTable {
         .collect();
     flows.sort_by_key(|f| (f.start, f.src, f.sport, f.dst, f.dport));
     flows.dedup();
-    extract_profiles_table(&FlowTable::from_records(&flows), |ip| ips.contains(&ip))
+    extract_profiles_table_par_tier(
+        &FlowTable::from_records(&flows),
+        |ip| ips.contains(&ip),
+        ProfileTier::Exact,
+        1,
+    )
 }
 
 #[test]

@@ -5,7 +5,8 @@ use std::net::Ipv4Addr;
 
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::{find_plotters, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
+use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
 fn campus_fixture() -> (Vec<peerwatch::flow::FlowRecord>, HashSet<Ipv4Addr>) {
@@ -42,17 +43,20 @@ fn campus_fixture() -> (Vec<peerwatch::flow::FlowRecord>, HashSet<Ipv4Addr>) {
     (flows, internal)
 }
 
-/// Output of batch `find_plotters` on the fixture, captured before the
+/// Output of the batch pipeline on the fixture, captured before the
 /// columnar `FlowTable` refactor. Thresholds are pinned to the exact f64
 /// bit patterns so any numeric drift — not just set membership — fails.
 #[test]
 fn batch_output_unchanged_by_data_plane_refactor() {
     let (flows, internal) = campus_fixture();
-    let report = find_plotters(
-        &flows,
+    let report = try_find_plotters_table_tier(
+        &FlowTable::from_records(&flows),
         |ip| internal.contains(&ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .unwrap();
 
     assert_eq!(report.all_hosts.len(), 89);
     assert_eq!(report.after_reduction.len(), 44);

@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use peerwatch::detect::checkpoint::EngineCheckpoint;
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, WindowReport};
 use peerwatch::detect::{
-    extract_profiles_table_tier, find_plotters_from_table, try_find_plotters_table_tier,
+    extract_profiles_table_par_tier, try_find_plotters_from_table, try_find_plotters_table_tier,
     FindPlottersConfig, ProfileAccumulator, ProfileTier,
 };
 use peerwatch::flow::{FlowRecord, FlowState, FlowTable, Payload, Proto};
@@ -285,10 +285,11 @@ fn sketched_tier_holds_the_byte_cap_under_adversarial_fanout() {
     }
     flows.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
     let table = FlowTable::from_records(&flows);
-    let e = extract_profiles_table_tier(&table, internal, ProfileTier::Exact);
-    let s = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
-    let exact_small = find_plotters_from_table(&e, &FindPlottersConfig::default());
-    let sketched_small = find_plotters_from_table(&s, &FindPlottersConfig::default());
+    let e = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
+    let s = extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, 1);
+    let exact_small = try_find_plotters_from_table(&e, &FindPlottersConfig::default(), 1).unwrap();
+    let sketched_small =
+        try_find_plotters_from_table(&s, &FindPlottersConfig::default(), 1).unwrap();
     let differs: HashSet<_> = exact_small
         .suspects
         .symmetric_difference(&sketched_small.suspects)

@@ -1,5 +1,5 @@
 //! The streaming engine's core contract on a seeded campus day: one window
-//! covering the whole trace reproduces the batch `find_plotters` output
+//! covering the whole trace reproduces the batch pipeline's output
 //! byte for byte — same suspects, same resolved thresholds — for any
 //! thread count, and tumbling replays partition the stream.
 
@@ -9,8 +9,10 @@ use std::net::Ipv4Addr;
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, WindowReport};
-use peerwatch::detect::{find_plotters, try_find_plotters, FindPlottersConfig, PlotterReport};
-use peerwatch::flow::FlowRecord;
+use peerwatch::detect::{
+    try_find_plotters_table_tier, FindPlottersConfig, PlotterReport, ProfileTier,
+};
+use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::SimDuration;
 
 struct Fixture {
@@ -79,27 +81,29 @@ fn stream_whole_day(fixture: &Fixture, threads: usize) -> PlotterReport {
         .expect("campus day is not degenerate")
 }
 
+fn batch(fixture: &Fixture, threads: usize) -> PlotterReport {
+    let internal = &fixture.internal;
+    try_find_plotters_table_tier(
+        &FlowTable::from_records(&fixture.flows),
+        |ip| internal.contains(&ip),
+        &FindPlottersConfig::default(),
+        ProfileTier::Exact,
+        threads,
+    )
+    .expect("campus day is not degenerate")
+}
+
 #[test]
 fn full_day_window_is_byte_identical_to_batch() {
     let fixture = campus_day();
-    let internal = &fixture.internal;
-    let batch = find_plotters(
-        &fixture.flows,
-        |ip| internal.contains(&ip),
-        &FindPlottersConfig::default(),
-    );
+    let batch = batch(&fixture, 1);
     assert!(!batch.all_hosts.is_empty(), "fixture produced no hosts");
 
     let streamed = stream_whole_day(&fixture, 1);
-    assert_eq!(streamed.suspects, batch.suspects);
+    assert_eq!(streamed, batch);
     assert_eq!(streamed.tau_vol.to_bits(), batch.tau_vol.to_bits());
     assert_eq!(streamed.tau_churn.to_bits(), batch.tau_churn.to_bits());
     assert_eq!(streamed.hm.tau.to_bits(), batch.hm.tau.to_bits());
-    assert_eq!(streamed.hm.clusters, batch.hm.clusters);
-    assert_eq!(streamed.all_hosts, batch.all_hosts);
-    assert_eq!(streamed.after_reduction, batch.after_reduction);
-    assert_eq!(streamed.s_vol, batch.s_vol);
-    assert_eq!(streamed.s_churn, batch.s_churn);
 }
 
 #[test]
@@ -115,13 +119,9 @@ fn parallel_streaming_matches_serial_streaming() {
 #[test]
 fn parallel_batch_matches_serial_batch() {
     let fixture = campus_day();
-    let internal = &fixture.internal;
-    let cfg = FindPlottersConfig::default();
-    let serial = try_find_plotters(&fixture.flows, |ip| internal.contains(&ip), &cfg, 1).unwrap();
+    let serial = batch(&fixture, 1);
     for threads in [2usize, 6] {
-        let par =
-            try_find_plotters(&fixture.flows, |ip| internal.contains(&ip), &cfg, threads).unwrap();
-        assert_eq!(par, serial, "threads={threads}");
+        assert_eq!(batch(&fixture, threads), serial, "threads={threads}");
     }
 }
 
