@@ -65,6 +65,9 @@ fn bench_csv(c: &mut Criterion) {
     group.bench_function("read", |b| {
         b.iter(|| pw_flow::csvio::read_flows(black_box(buf.as_slice())).unwrap())
     });
+    group.bench_function("read_lossy", |b| {
+        b.iter(|| pw_flow::csvio::read_flows_lossy(black_box(buf.as_slice())).unwrap())
+    });
     group.finish();
 }
 

@@ -14,23 +14,33 @@ pub enum Proto {
     Udp,
 }
 
+impl Proto {
+    /// Every protocol, in declaration order.
+    pub(crate) const ALL: [Proto; 2] = [Proto::Tcp, Proto::Udp];
+
+    /// The protocol's textual token, as [`Display`](std::fmt::Display)
+    /// writes it.
+    pub(crate) const fn token(self) -> &'static str {
+        match self {
+            Proto::Tcp => "tcp",
+            Proto::Udp => "udp",
+        }
+    }
+}
+
 impl std::fmt::Display for Proto {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Proto::Tcp => write!(f, "tcp"),
-            Proto::Udp => write!(f, "udp"),
-        }
+        f.write_str(self.token())
     }
 }
 
 impl std::str::FromStr for Proto {
     type Err = crate::record::ParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tcp" => Ok(Proto::Tcp),
-            "udp" => Ok(Proto::Udp),
-            other => Err(crate::record::ParseError::UnknownProto(other.to_owned())),
-        }
+        Proto::ALL
+            .into_iter()
+            .find(|proto| proto.token() == s)
+            .ok_or_else(|| crate::record::ParseError::UnknownProto(s.to_owned()))
     }
 }
 

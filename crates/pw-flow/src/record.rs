@@ -119,34 +119,43 @@ impl FlowState {
             FlowState::SynNoAnswer | FlowState::Rejected | FlowState::UdpSilent
         )
     }
-}
 
-impl std::fmt::Display for FlowState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// Every state, in declaration order.
+    pub(crate) const ALL: [FlowState; 6] = [
+        FlowState::Established,
+        FlowState::SynNoAnswer,
+        FlowState::Rejected,
+        FlowState::ResetAfterData,
+        FlowState::UdpReplied,
+        FlowState::UdpSilent,
+    ];
+
+    /// The state's textual token, as [`Display`](std::fmt::Display) writes it.
+    pub(crate) const fn token(self) -> &'static str {
+        match self {
             FlowState::Established => "EST",
             FlowState::SynNoAnswer => "SYN",
             FlowState::Rejected => "REJ",
             FlowState::ResetAfterData => "RSTD",
             FlowState::UdpReplied => "UDPR",
             FlowState::UdpSilent => "UDPS",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for FlowState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.token())
     }
 }
 
 impl std::str::FromStr for FlowState {
     type Err = ParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "EST" => FlowState::Established,
-            "SYN" => FlowState::SynNoAnswer,
-            "REJ" => FlowState::Rejected,
-            "RSTD" => FlowState::ResetAfterData,
-            "UDPR" => FlowState::UdpReplied,
-            "UDPS" => FlowState::UdpSilent,
-            other => return Err(ParseError::UnknownFlowState(other.to_owned())),
-        })
+        FlowState::ALL
+            .into_iter()
+            .find(|state| state.token() == s)
+            .ok_or_else(|| ParseError::UnknownFlowState(s.to_owned()))
     }
 }
 

@@ -47,8 +47,8 @@ cargo test -q -p pw-server --features loom --test engine_model
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> fault-injection suite (chaos + checkpoint/restore + corruption recovery)"
-cargo test -q --test chaos_injection --test checkpoint_roundtrip
+echo "==> fault-injection suite (chaos + checkpoint/restore + corruption recovery + CSV decoder fuzz)"
+cargo test -q --test chaos_injection --test checkpoint_roundtrip --test csv_decoder_fuzz
 
 echo "==> sketch accuracy gate (exact vs sketched tier, fast scale)"
 # Campus-day suspect sets must be identical between tiers, the sketched
@@ -81,10 +81,12 @@ fi
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
-echo "==> bench smoke (detect benches execute one iteration)"
+echo "==> bench smoke (detect and flow benches execute one iteration)"
 # `--test` runs each bench once without measuring: catches panics in bench
-# setup/bodies (e.g. the theta_hm scaling grid) without paying bench time.
+# setup/bodies (e.g. the theta_hm scaling grid, the CSV ingest path)
+# without paying bench time.
 cargo bench -q -p pw-bench --bench detect -- --test
+cargo bench -q -p pw-bench --bench flow -- --test
 
 echo "==> cargo doc (public docs must build cleanly)"
 cargo doc --workspace --no-deps -q
