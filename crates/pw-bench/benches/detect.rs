@@ -151,7 +151,7 @@ fn bench_theta_hm_scaling(c: &mut Criterion) {
 /// the constant factors of embedding + k-means + per-bucket linkage are
 /// visible at bench time.
 fn bench_theta_hm_bucketed(c: &mut Criterion) {
-    use pw_detect::{BucketedHmParams, ThetaHmConfig, ThetaHmMode};
+    use pw_detect::{ThetaHmConfig, ThetaHmMode};
     let mut group = c.benchmark_group("theta_hm_bucketed");
     group.sample_size(10);
     for &n in &[1024usize, 4096] {
@@ -162,10 +162,7 @@ fn bench_theta_hm_bucketed(c: &mut Criterion) {
             let opts = HmOptions {
                 threads,
                 theta: ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                        exact_below: 0,
-                        ..Default::default()
-                    }),
+                    mode: ThetaHmMode::Bucketed { exact_below: 0 },
                     ..Default::default()
                 },
                 ..Default::default()

@@ -17,9 +17,9 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v3
+//! peerwatch-checkpoint v4
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
-//! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
+//! detect with_reduction=1 tau_vol=p:4049000000000000 ... theta_hm=exact hm_profile=0
 //! state watermark_ms=1234 applied_to_ms=1000 ...
 //! stats attempted=100 accepted=98 ... profile_bytes=0 profiles_exact=0 profiles_sketched=0
 //! deltas late=0 dropped=0 quarantined=0
@@ -82,7 +82,7 @@ use crate::stream::{EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
 /// format evolution. The format requires the `checksum crc32=` trailer.
-pub const MAGIC: &str = "peerwatch-checkpoint v3";
+pub const MAGIC: &str = "peerwatch-checkpoint v4";
 
 /// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
@@ -280,15 +280,13 @@ impl EngineCheckpoint {
         ));
         out.push_str(&format!(
             "detect with_reduction={} tau_vol={} tau_churn={} tau_hm={} cut_fraction={} \
-             theta_hm={} hm_tile={} hm_par_cutoff={} hm_profile={}\n",
+             theta_hm={} hm_profile={}\n",
             u8::from(c.detect.with_reduction),
             threshold_str(c.detect.tau_vol),
             threshold_str(c.detect.tau_churn),
             threshold_str(c.detect.tau_hm),
             f64_hex(c.detect.cut_fraction),
             c.detect.theta_hm.mode.name(),
-            c.detect.theta_hm.tile,
-            c.detect.theta_hm.par_cutoff,
             u8::from(c.detect.theta_hm.profile),
         ));
         out.push_str(&format!(
@@ -608,8 +606,6 @@ impl<'a> Fields<'a> {
         let v = self.get("theta_hm")?;
         Ok(ThetaHmConfig {
             mode: ThetaHmMode::from_name(v).ok_or_else(|| self.bad("theta_hm", v))?,
-            tile: self.num("hm_tile")? as usize,
-            par_cutoff: self.num("hm_par_cutoff")? as usize,
             profile: self.flag("hm_profile")?,
         })
     }
@@ -778,6 +774,10 @@ mod tests {
     }
 
     fn busy_engine() -> DetectionEngine<fn(Ipv4Addr) -> bool> {
+        busy_engine_with(ThetaHmConfig::default())
+    }
+
+    fn busy_engine_with(theta_hm: ThetaHmConfig) -> DetectionEngine<fn(Ipv4Addr) -> bool> {
         let cfg = EngineConfig {
             window: SimDuration::from_mins(10),
             slide: SimDuration::from_mins(5),
@@ -787,6 +787,7 @@ mod tests {
             detect: FindPlottersConfig {
                 cut_fraction: 0.07,
                 tau_vol: Threshold::Absolute(1234.5),
+                theta_hm,
                 ..Default::default()
             },
             ..Default::default()
@@ -809,27 +810,34 @@ mod tests {
 
     #[test]
     fn restore_continues_byte_identically() {
-        // Uninterrupted run.
-        let mut straight = busy_engine();
-        let mut expected = Vec::new();
-        for k in 40..80 {
-            expected.extend(straight.push(flow(k)).unwrap());
-        }
-        expected.extend(straight.finish());
+        let forced_buckets = ThetaHmConfig {
+            mode: ThetaHmMode::Bucketed { exact_below: 0 },
+            profile: false,
+        };
+        for theta in [ThetaHmConfig::default(), forced_buckets] {
+            // Uninterrupted run.
+            let mut straight = busy_engine_with(theta);
+            let mut expected = Vec::new();
+            for k in 40..80 {
+                expected.extend(straight.push(flow(k)).unwrap());
+            }
+            expected.extend(straight.finish());
 
-        // Checkpoint → serialize → parse → restore, then feed the rest.
-        let snap = busy_engine().checkpoint();
-        let revived = EngineCheckpoint::parse(&snap.serialize()).unwrap();
-        let mut resumed =
-            DetectionEngine::restore(&revived, internal as fn(Ipv4Addr) -> bool).unwrap();
-        assert_eq!(resumed.stats(), snap.stats);
-        let mut got = Vec::new();
-        for k in 40..80 {
-            got.extend(resumed.push(flow(k)).unwrap());
+            // Checkpoint → serialize → parse → restore, then feed the rest.
+            let snap = busy_engine_with(theta).checkpoint();
+            let revived = EngineCheckpoint::parse(&snap.serialize()).unwrap();
+            assert_eq!(revived.config.detect.theta_hm, theta);
+            let mut resumed =
+                DetectionEngine::restore(&revived, internal as fn(Ipv4Addr) -> bool).unwrap();
+            assert_eq!(resumed.stats(), snap.stats);
+            let mut got = Vec::new();
+            for k in 40..80 {
+                got.extend(resumed.push(flow(k)).unwrap());
+            }
+            got.extend(resumed.finish());
+            assert_eq!(got, expected, "{theta:?}");
+            assert_eq!(resumed.stats(), straight.stats());
         }
-        got.extend(resumed.finish());
-        assert_eq!(got, expected);
-        assert_eq!(resumed.stats(), straight.stats());
     }
 
     #[test]
@@ -853,18 +861,10 @@ mod tests {
 
     #[test]
     fn theta_hm_config_round_trips_exactly() {
-        use crate::detectors::{BucketedHmParams, ThetaHmConfig, ThetaHmMode};
         let mut eng = busy_engine();
         let snap = eng.checkpoint();
         let theta = ThetaHmConfig {
-            mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                exact_below: 1000,
-                target_bucket: 300,
-                quantiles: 24,
-                kmeans_rounds: 3,
-            }),
-            tile: 96,
-            par_cutoff: 200,
+            mode: ThetaHmMode::Bucketed { exact_below: 0 },
             profile: true,
         };
         let mut snap = snap;

@@ -6,11 +6,10 @@ use std::time::{Duration, Instant};
 
 use pw_analysis::{
     average_linkage, bucketed_average_linkage, double_sweep_diameter, emd_cdf, kmeans_partition,
-    percentile, quantile_embedding, CdfRepr, DistanceMatrix, FillTuning,
+    percentile, quantile_embedding, CdfRepr, DistanceMatrix,
 };
 use pw_flow::HostId;
 
-use crate::error::ConfigError;
 #[cfg(test)]
 use crate::features::ProfileRepr;
 use crate::features::{HostMask, HostProfile, ProfileView};
@@ -172,38 +171,31 @@ pub enum HistogramDistance {
     L1,
 }
 
-/// Parameters of the sub-quadratic two-level `θ_hm`
-/// ([`ThetaHmMode::Bucketed`]).
-///
-/// Hosts are embedded as quantile vectors of their gap CDFs, coarse-
-/// partitioned with deterministic k-means, and the exact EMD + NN-chain
-/// linkage runs only within buckets (stitched via medoid-level linkage).
-/// See `pw_analysis::embed`/`bucketed` and DESIGN.md "Sub-quadratic θ_hm".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketedHmParams {
-    /// Populations smaller than this run the exact `O(n²)` path even in
-    /// bucketed mode — below the wall, exact is both fast and (by
-    /// definition) parity-perfect. Set to `0` to force bucketing always.
-    pub exact_below: usize,
+/// Population size at which `bucketed` mode (no explicit cutoff) switches
+/// from the exact path to the two-level one. Below it, exact is both fast
+/// and (by definition) parity-perfect.
+pub const EXACT_BELOW: usize = 8192;
+
+/// Coarse-bucketing parameters of the two-level `θ_hm`.
+#[derive(Debug, Clone, Copy)]
+struct Bucketing {
     /// Coarse-partition target bucket size; `k ≈ n / target_bucket`
     /// k-means centers are used and no bucket exceeds `2 × target_bucket`.
-    pub target_bucket: usize,
+    target_bucket: usize,
     /// Quantile count `Q` of the embedding (`Q + 1` samples per host).
-    pub quantiles: usize,
+    quantiles: usize,
     /// Lloyd refinement rounds after farthest-point seeding.
-    pub kmeans_rounds: usize,
+    kmeans_rounds: usize,
 }
 
-impl Default for BucketedHmParams {
-    fn default() -> Self {
-        Self {
-            exact_below: 8192,
-            target_bucket: 512,
-            quantiles: 16,
-            kmeans_rounds: 2,
-        }
-    }
-}
+/// The one bucketing [`theta_hm_view`] runs (DESIGN.md "Sub-quadratic
+/// θ_hm"); unit tests shrink it to get several buckets out of a small
+/// fixture.
+const BUCKETING: Bucketing = Bucketing {
+    target_bucket: 512,
+    quantiles: 16,
+    kmeans_rounds: 2,
+};
 
 /// Strategy for the `θ_hm` clustering stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -213,184 +205,69 @@ pub enum ThetaHmMode {
     /// default.
     #[default]
     Exact,
-    /// Two-level quantile-embedding + coarse-bucketing `θ_hm`; exact within
-    /// buckets, medoid-stitched across them. Sub-quadratic, with a bounded
-    /// accuracy envelope (see the pw-repro parity harness).
-    Bucketed(BucketedHmParams),
+    /// Two-level quantile-embedding + coarse-bucketing `θ_hm`: hosts are
+    /// embedded as quantile vectors of their gap CDFs, coarse-partitioned
+    /// with deterministic k-means, and the exact EMD + NN-chain linkage
+    /// runs only within buckets (stitched via medoid-level linkage).
+    /// Sub-quadratic, with a bounded accuracy envelope (see the pw-repro
+    /// parity harness, `pw_analysis::embed`/`bucketed` and DESIGN.md
+    /// "Sub-quadratic θ_hm").
+    Bucketed {
+        /// Populations smaller than this run the exact `O(n²)` path (see
+        /// [`EXACT_BELOW`]). Set to `0` to force bucketing always.
+        exact_below: usize,
+    },
 }
 
 impl ThetaHmMode {
     /// Canonical textual form, stable across releases — used by the CLI
-    /// flag and the checkpoint format: `exact` or
-    /// `bucketed:<exact_below>:<target_bucket>:<quantiles>:<kmeans_rounds>`.
+    /// flag and the checkpoint format: `exact` or `bucketed:<exact_below>`.
     pub fn name(&self) -> String {
         match self {
             ThetaHmMode::Exact => "exact".to_string(),
-            ThetaHmMode::Bucketed(p) => format!(
-                "bucketed:{}:{}:{}:{}",
-                p.exact_below, p.target_bucket, p.quantiles, p.kmeans_rounds
-            ),
+            ThetaHmMode::Bucketed { exact_below } => format!("bucketed:{exact_below}"),
         }
     }
 
     /// Parses [`ThetaHmMode::name`]'s format. `bucketed` alone selects the
-    /// default parameters. Returns `None` on anything malformed.
+    /// [`EXACT_BELOW`] cutoff. Returns `None` on anything malformed.
     pub fn from_name(s: &str) -> Option<Self> {
-        if s == "exact" {
-            return Some(ThetaHmMode::Exact);
+        match s.split_once(':') {
+            None if s == "exact" => Some(ThetaHmMode::Exact),
+            None if s == "bucketed" => Some(ThetaHmMode::Bucketed {
+                exact_below: EXACT_BELOW,
+            }),
+            Some(("bucketed", n)) => n
+                .parse()
+                .ok()
+                .map(|exact_below| ThetaHmMode::Bucketed { exact_below }),
+            _ => None,
         }
-        let rest = s.strip_prefix("bucketed")?;
-        if rest.is_empty() {
-            return Some(ThetaHmMode::Bucketed(BucketedHmParams::default()));
-        }
-        let parts: Vec<&str> = rest.strip_prefix(':')?.split(':').collect();
-        if parts.len() != 4 {
-            return None;
-        }
-        let nums: Vec<usize> = parts
-            .iter()
-            .map(|p| p.parse().ok())
-            .collect::<Option<_>>()?;
-        Some(ThetaHmMode::Bucketed(BucketedHmParams {
-            exact_below: nums[0],
-            target_bucket: nums[1],
-            quantiles: nums[2],
-            kmeans_rounds: nums[3],
-        }))
     }
 }
 
-/// The `θ_hm` configuration surface: clustering mode plus the tuning knobs
-/// (distance-fill tile size and parallel cutoff) that both the exact and
-/// bucketed paths share, plus the stage-profile switch.
-///
-/// Historically the tuning knobs were the hardcoded `pw_analysis::TILE` /
-/// `PAR_CUTOFF` constants; they are promoted here so one validated struct
-/// carries everything `θ_hm`-shaped. Build one with [`ThetaHmConfig::builder`]
-/// (validates) or a struct literal + [`ThetaHmConfig::validate`].
+/// The `θ_hm` configuration surface: clustering mode plus the
+/// stage-profile switch.
 ///
 /// # Examples
 ///
 /// ```
-/// use pw_detect::{BucketedHmParams, ThetaHmConfig, ThetaHmMode};
+/// use pw_detect::{ThetaHmConfig, ThetaHmMode};
 ///
-/// let cfg = ThetaHmConfig::builder()
-///     .mode(ThetaHmMode::Bucketed(BucketedHmParams::default()))
-///     .profile(true)
-///     .build()
-///     .unwrap();
-/// assert!(cfg.profile);
-/// assert!(ThetaHmConfig::builder().tile(0).build().is_err());
+/// let cfg = ThetaHmConfig {
+///     mode: ThetaHmMode::Bucketed { exact_below: 0 },
+///     profile: true,
+/// };
+/// assert_eq!(ThetaHmMode::from_name(&cfg.mode.name()), Some(cfg.mode));
+/// assert_eq!(ThetaHmConfig::default().mode, ThetaHmMode::Exact);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ThetaHmConfig {
     /// Clustering strategy (default: [`ThetaHmMode::Exact`]).
     pub mode: ThetaHmMode,
-    /// Cache-block edge for the condensed distance-matrix fill
-    /// (default [`pw_analysis::TILE`]).
-    pub tile: usize,
-    /// Minimum population before the fill spawns worker threads
-    /// (default [`pw_analysis::PAR_CUTOFF`]).
-    pub par_cutoff: usize,
     /// Attach a [`ThetaHmProfile`] (stage wall-clock split + bucket-size
     /// histogram) to the [`HmOutcome`] when clustering actually runs.
     pub profile: bool,
-}
-
-impl Default for ThetaHmConfig {
-    fn default() -> Self {
-        Self {
-            mode: ThetaHmMode::Exact,
-            tile: pw_analysis::TILE,
-            par_cutoff: pw_analysis::PAR_CUTOFF,
-            profile: false,
-        }
-    }
-}
-
-impl ThetaHmConfig {
-    /// Starts a validated builder from the defaults.
-    pub fn builder() -> ThetaHmConfigBuilder {
-        ThetaHmConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
-    /// Checks every constraint; [`crate::FindPlottersConfig::validate`]
-    /// calls this so invalid `θ_hm` settings are caught before any data is
-    /// touched.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.tile == 0 {
-            return Err(ConfigError::ThetaHm(
-                "distance-fill tile must be at least 1",
-            ));
-        }
-        if self.par_cutoff < 2 {
-            return Err(ConfigError::ThetaHm(
-                "parallel cutoff must be at least 2 (1-host fills cannot parallelize)",
-            ));
-        }
-        if let ThetaHmMode::Bucketed(p) = self.mode {
-            if p.target_bucket < 2 {
-                return Err(ConfigError::ThetaHm("bucket target must be at least 2"));
-            }
-            if p.quantiles < 2 || p.quantiles > pw_analysis::MAX_QUANTILES {
-                return Err(ConfigError::ThetaHm(
-                    "quantile count must be in 2..=2048 (rounding guard envelope)",
-                ));
-            }
-            if p.kmeans_rounds > 64 {
-                return Err(ConfigError::ThetaHm("k-means rounds capped at 64"));
-            }
-        }
-        Ok(())
-    }
-
-    /// The [`FillTuning`] these knobs describe.
-    pub fn tuning(&self) -> FillTuning {
-        FillTuning {
-            tile: self.tile,
-            par_cutoff: self.par_cutoff,
-        }
-    }
-}
-
-/// Validated builder for [`ThetaHmConfig`].
-#[derive(Debug, Clone)]
-pub struct ThetaHmConfigBuilder {
-    cfg: ThetaHmConfig,
-}
-
-impl ThetaHmConfigBuilder {
-    /// Sets the clustering mode.
-    pub fn mode(mut self, mode: ThetaHmMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the distance-fill cache-block edge.
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.cfg.tile = tile;
-        self
-    }
-
-    /// Sets the minimum population for a parallel fill.
-    pub fn par_cutoff(mut self, par_cutoff: usize) -> Self {
-        self.cfg.par_cutoff = par_cutoff;
-        self
-    }
-
-    /// Enables or disables the stage profile.
-    pub fn profile(mut self, profile: bool) -> Self {
-        self.cfg.profile = profile;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ThetaHmConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 /// First-class `θ_hm` stage timing, attached to [`HmOutcome`] when
@@ -433,7 +310,7 @@ pub struct HmOptions {
     /// matrix (the `θ_hm` hot spots). `1` runs serially; any value produces
     /// identical output.
     pub threads: usize,
-    /// Mode, fill tuning, and profile switch (see [`ThetaHmConfig`]).
+    /// Mode and profile switch (see [`ThetaHmConfig`]).
     pub theta: ThetaHmConfig,
 }
 
@@ -485,6 +362,18 @@ pub fn theta_hm_view(
     tau: Threshold,
     cut_fraction: f64,
     options: &HmOptions,
+) -> HmOutcome {
+    theta_hm_bucketing(view, s, tau, cut_fraction, options, BUCKETING)
+}
+
+/// [`theta_hm_view`] with the two-level path's bucketing as a parameter.
+fn theta_hm_bucketing(
+    view: &ProfileView<'_>,
+    s: &HostMask,
+    tau: Threshold,
+    cut_fraction: f64,
+    options: &HmOptions,
+    bucketing: Bucketing,
 ) -> HmOutcome {
     let min_size = options.min_cluster_size;
     let threads = options.threads.max(1);
@@ -558,7 +447,6 @@ pub fn theta_hm_view(
         histograms: t_hist.elapsed(),
         ..Default::default()
     };
-    let tuning = options.theta.tuning();
 
     // The two-level path applies only above its population cutoff and only
     // to the EMD metric (the quantile bound certifies EMD; the L1 ablation
@@ -566,28 +454,26 @@ pub fn theta_hm_view(
     // n≤4096 fixtures and the campus days at the defaults — runs the exact
     // kernel and is therefore byte-identical across modes by construction.
     let bucketed = match options.theta.mode {
-        ThetaHmMode::Bucketed(p)
-            if hosts.len() >= p.exact_below && options.distance == HistogramDistance::Emd =>
-        {
-            Some(p)
+        ThetaHmMode::Bucketed { exact_below } => {
+            hosts.len() >= exact_below && options.distance == HistogramDistance::Emd
         }
-        _ => None,
+        ThetaHmMode::Exact => false,
     };
 
     // Either path yields multi-host clusters with diameters; the τ_hm
     // resolution and keep-filter below are shared.
-    let mut clusters: Vec<(Vec<Ipv4Addr>, f64)> = if let Some(p) = bucketed {
+    let mut clusters: Vec<(Vec<Ipv4Addr>, f64)> = if bucketed {
         let t = Instant::now();
         let embeds: Vec<Vec<f64>> = cdfs
             .iter()
-            .map(|c| quantile_embedding(c, p.quantiles))
+            .map(|c| quantile_embedding(c, bucketing.quantiles))
             .collect();
         profile.embed = t.elapsed();
         let t = Instant::now();
-        let buckets = kmeans_partition(&embeds, p.target_bucket, p.kmeans_rounds);
+        let buckets = kmeans_partition(&embeds, bucketing.target_bucket, bucketing.kmeans_rounds);
         profile.bucket = t.elapsed();
         profile.bucket_sizes = buckets.iter().map(Vec::len).collect();
-        let linked = bucketed_average_linkage(hosts.len(), &buckets, threads, tuning, |i, j| {
+        let linked = bucketed_average_linkage(hosts.len(), &buckets, threads, |i, j| {
             emd_cdf(&cdfs[i], &cdfs[j])
         });
         profile.distance_fill = linked.distance_fill;
@@ -624,11 +510,9 @@ pub fn theta_hm_view(
     } else {
         let t = Instant::now();
         let dm = match options.distance {
-            HistogramDistance::Emd => {
-                DistanceMatrix::from_fn_par_tuned(hosts.len(), threads, tuning, |i, j| {
-                    emd_cdf(&cdfs[i], &cdfs[j])
-                })
-            }
+            HistogramDistance::Emd => DistanceMatrix::from_fn_par(hosts.len(), threads, |i, j| {
+                emd_cdf(&cdfs[i], &cdfs[j])
+            }),
             HistogramDistance::L1 => {
                 let (lo, hi) =
                     masses
@@ -638,7 +522,7 @@ pub fn theta_hm_view(
                             let last = pm.last().map_or(0.0, |&(p, _)| p);
                             (lo.min(first), hi.max(last))
                         });
-                DistanceMatrix::from_fn_par_tuned(hosts.len(), threads, tuning, |i, j| {
+                DistanceMatrix::from_fn_par(hosts.len(), threads, |i, j| {
                     l1_distance(&masses[i], &masses[j], lo, hi)
                 })
             }
@@ -1111,7 +995,7 @@ mod tests {
             0.1,
             &HmOptions {
                 theta: ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams::default()),
+                    mode: ThetaHmMode::from_name("bucketed").unwrap(),
                     ..Default::default()
                 },
                 ..Default::default()
@@ -1122,42 +1006,47 @@ mod tests {
         assert_eq!(exact.tau.to_bits(), bucketed.tau.to_bits());
     }
 
+    /// Forced bucketing over `profiles` with buckets of about six hosts,
+    /// so the 24-host mixed population splits into several buckets.
+    fn theta_hm_small_buckets(
+        profiles: &HashMap<Ipv4Addr, HostProfile>,
+        s: &HashSet<Ipv4Addr>,
+        threads: usize,
+        profile: bool,
+    ) -> HmOutcome {
+        let view = ProfileView::from_map(profiles);
+        let mask = HostMask::from_ips(&view, s);
+        let options = HmOptions {
+            threads,
+            theta: ThetaHmConfig {
+                mode: ThetaHmMode::Bucketed { exact_below: 0 },
+                profile,
+            },
+            ..Default::default()
+        };
+        let small = Bucketing {
+            target_bucket: 6,
+            quantiles: 8,
+            kmeans_rounds: 2,
+        };
+        theta_hm_bucketing(
+            &view,
+            &mask,
+            Threshold::Percentile(70.0),
+            0.1,
+            &options,
+            small,
+        )
+    }
+
     #[test]
     fn forced_bucketed_is_thread_and_input_order_invariant() {
         let (profiles, s) = mixed_population();
-        let theta = ThetaHmConfig {
-            mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                exact_below: 0,
-                target_bucket: 6,
-                quantiles: 8,
-                kmeans_rounds: 2,
-            }),
-            ..Default::default()
-        };
-        let base = theta_hm_with_options(
-            &profiles,
-            &s,
-            Threshold::Percentile(70.0),
-            0.1,
-            &HmOptions {
-                theta,
-                ..Default::default()
-            },
-        );
+        let base = theta_hm_small_buckets(&profiles, &s, 1, false);
         // A real clustering ran (not a degenerate early return).
         assert!(!base.clusters.is_empty());
         for threads in [4usize, 8] {
-            let hm = theta_hm_with_options(
-                &profiles,
-                &s,
-                Threshold::Percentile(70.0),
-                0.1,
-                &HmOptions {
-                    threads,
-                    theta,
-                    ..Default::default()
-                },
-            );
+            let hm = theta_hm_small_buckets(&profiles, &s, threads, false);
             assert_eq!(base.kept, hm.kept, "bucketed kept, threads={threads}");
             assert_eq!(
                 base.clusters, hm.clusters,
@@ -1176,16 +1065,7 @@ mod tests {
             hosts.sort_by_key(|p| std::cmp::Reverse(p.ip));
             setup(hosts)
         };
-        let rev = theta_hm_with_options(
-            &rev_profiles,
-            &s,
-            Threshold::Percentile(70.0),
-            0.1,
-            &HmOptions {
-                theta,
-                ..Default::default()
-            },
-        );
+        let rev = theta_hm_small_buckets(&rev_profiles, &s, 1, false);
         assert_eq!(base.kept, rev.kept);
         assert_eq!(base.clusters, rev.clusters);
         assert_eq!(base.tau.to_bits(), rev.tau.to_bits());
@@ -1215,25 +1095,7 @@ mod tests {
         assert_eq!(p.hosts, 24);
         assert!(p.bucket_sizes.is_empty());
         // Forced bucketed path: bucket sizes partition the population.
-        let bucketed = theta_hm_with_options(
-            &profiles,
-            &s,
-            Threshold::Percentile(70.0),
-            0.1,
-            &HmOptions {
-                theta: ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                        exact_below: 0,
-                        target_bucket: 6,
-                        quantiles: 8,
-                        kmeans_rounds: 2,
-                    }),
-                    profile: true,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
+        let bucketed = theta_hm_small_buckets(&profiles, &s, 1, true);
         let p = bucketed.profile.expect("profile requested");
         assert_eq!(p.bucket_sizes.iter().sum::<usize>(), 24);
         assert!(p.bucket_sizes.len() > 1);
@@ -1243,81 +1105,38 @@ mod tests {
     fn theta_hm_mode_names_round_trip() {
         let modes = [
             ThetaHmMode::Exact,
-            ThetaHmMode::Bucketed(BucketedHmParams::default()),
-            ThetaHmMode::Bucketed(BucketedHmParams {
-                exact_below: 0,
-                target_bucket: 300,
-                quantiles: 24,
-                kmeans_rounds: 3,
-            }),
+            ThetaHmMode::Bucketed {
+                exact_below: EXACT_BELOW,
+            },
+            ThetaHmMode::Bucketed { exact_below: 0 },
+            ThetaHmMode::Bucketed { exact_below: 1000 },
         ];
         for m in modes {
             assert_eq!(ThetaHmMode::from_name(&m.name()), Some(m), "{}", m.name());
         }
+        assert_eq!(ThetaHmMode::Exact.name(), "exact");
+        assert_eq!(
+            ThetaHmMode::Bucketed { exact_below: 0 }.name(),
+            "bucketed:0"
+        );
         assert_eq!(
             ThetaHmMode::from_name("bucketed"),
-            Some(ThetaHmMode::Bucketed(BucketedHmParams::default()))
+            Some(ThetaHmMode::Bucketed {
+                exact_below: EXACT_BELOW
+            })
         );
-        assert_eq!(ThetaHmMode::from_name("warp"), None);
-        assert_eq!(ThetaHmMode::from_name("bucketed:1:2"), None);
-        assert_eq!(ThetaHmMode::from_name("bucketed:1:2:x:4"), None);
-    }
-
-    #[test]
-    fn theta_hm_config_validation_rejects_bad_knobs() {
-        assert!(ThetaHmConfig::default().validate().is_ok());
-        let cases: [(ThetaHmConfig, &str); 5] = [
-            (
-                ThetaHmConfig {
-                    tile: 0,
-                    ..Default::default()
-                },
-                "tile",
-            ),
-            (
-                ThetaHmConfig {
-                    par_cutoff: 1,
-                    ..Default::default()
-                },
-                "cutoff",
-            ),
-            (
-                ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                        target_bucket: 1,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-                "bucket target",
-            ),
-            (
-                ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                        quantiles: 1,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-                "quantile",
-            ),
-            (
-                ThetaHmConfig {
-                    mode: ThetaHmMode::Bucketed(BucketedHmParams {
-                        kmeans_rounds: 65,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-                "rounds",
-            ),
-        ];
-        for (cfg, needle) in cases {
-            let err = cfg.validate().expect_err(needle);
-            assert!(
-                err.to_string().contains(needle),
-                "{err} should mention {needle}"
-            );
+        for bad in [
+            "warp",
+            "",
+            "exact:0",
+            "bucketed:",
+            "bucketed:x",
+            "bucketed:-1",
+            "bucketed:1:2",
+            // The retired four-part grammar.
+            "bucketed:0:512:16:2",
+        ] {
+            assert_eq!(ThetaHmMode::from_name(bad), None, "{bad:?}");
         }
     }
 }

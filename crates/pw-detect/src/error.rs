@@ -46,10 +46,6 @@ pub enum ConfigError {
     ZeroQueueDepth,
     /// A zero I/O deadline would time every socket read out immediately.
     ZeroIoTimeout,
-    /// The `θ_hm` mode/tuning configuration was rejected; the payload says
-    /// which constraint failed (e.g. a zero bucket target or a quantile
-    /// count outside the certified range).
-    ThetaHm(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -79,7 +75,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroIoTimeout => {
                 f.write_str("io timeout must be positive (omit it to disable deadlines)")
             }
-            ConfigError::ThetaHm(reason) => write!(f, "theta_hm config: {reason}"),
         }
     }
 }

@@ -706,9 +706,10 @@ fn absorb_obs(
     }
 }
 
-/// The single accumulation path every *record-oriented* extraction mode
-/// shares: push-based ([`ProfileBuilder`]) and ad-hoc batch. Columnar
-/// extraction uses the same per-flow update over [`FlowTable`] rows
+/// Record-oriented profile accumulation, for callers that generate flows
+/// one at a time and never hold a whole window (the sketch-accuracy sweep
+/// builds 100k-host populations this way). Columnar extraction uses the
+/// same per-flow update over [`FlowTable`] rows
 /// ([`extract_profiles_table_par_tier`]) — both reduce to `absorb_obs`.
 ///
 /// The accumulator is *attribution-agnostic*: callers decide which flows it
@@ -778,85 +779,6 @@ impl ProfileAccumulator {
                 .zip(self.profiles)
                 .collect(),
         )
-    }
-}
-
-/// Incremental profile extraction — feed flows as the border monitor emits
-/// them, read profiles at the end of the detection window.
-///
-/// Flows must arrive in non-decreasing start-time order (what a flow
-/// monitor produces); [`extract_profiles_table_par_tier`] works from a
-/// stored dataset in the table's canonical order, and
-/// [`crate::stream::DetectionEngine`] reorders bounded-lateness streams for
-/// you.
-///
-/// # Examples
-///
-/// ```
-/// use pw_detect::features::ProfileBuilder;
-///
-/// let mut builder = ProfileBuilder::new(|ip: std::net::Ipv4Addr| ip.octets()[0] == 10);
-/// // builder.push(flow); for each arriving flow …
-/// let profiles = builder.finish();
-/// assert!(profiles.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct ProfileBuilder<F> {
-    is_internal: F,
-    acc: ProfileAccumulator,
-    last_start: SimTime,
-}
-
-impl<F: Fn(Ipv4Addr) -> bool> ProfileBuilder<F> {
-    /// Creates an exact-tier builder; `is_internal` identifies monitored
-    /// addresses.
-    pub fn new(is_internal: F) -> Self {
-        Self::with_tier(is_internal, ProfileTier::Exact)
-    }
-
-    /// Creates a builder accumulating at the given tier.
-    pub fn with_tier(is_internal: F, tier: ProfileTier) -> Self {
-        Self {
-            is_internal,
-            acc: ProfileAccumulator::with_tier(tier),
-            last_start: SimTime::ZERO,
-        }
-    }
-
-    /// Number of hosts profiled so far.
-    pub fn len(&self) -> usize {
-        self.acc.len()
-    }
-
-    /// Whether no hosts have been profiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.acc.is_empty()
-    }
-
-    /// Consumes one flow record.
-    ///
-    /// Non-border flows (both endpoints internal or both external) are
-    /// ignored — an edge monitor never sees them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if flows arrive out of start-time order.
-    pub fn push(&mut self, f: &FlowRecord) {
-        assert!(
-            f.start >= self.last_start,
-            "flows must arrive in start-time order (got {} after {})",
-            f.start,
-            self.last_start
-        );
-        self.last_start = f.start;
-        if let Some(host) = internal_endpoint(f, &self.is_internal) {
-            self.acc.absorb(f, host);
-        }
-    }
-
-    /// Finishes the window and returns the dense profile table.
-    pub fn finish(self) -> ProfileTable {
-        self.acc.finish()
     }
 }
 
@@ -1150,23 +1072,18 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builder_matches_batch_extraction() {
+    fn accumulator_matches_batch_extraction() {
         let flows = mixed_flows();
         let batch = extract_profiles(&flows);
-        let mut builder = ProfileBuilder::new(internal);
-        assert!(builder.is_empty());
+        let mut acc = ProfileAccumulator::new();
+        assert!(acc.is_empty());
         for f in &flows {
-            builder.push(f);
+            if let Some(host) = internal_endpoint(f, internal) {
+                acc.absorb(f, host);
+            }
         }
-        assert_eq!(builder.len(), 2);
-        let streamed = builder.finish().to_map();
-        assert_eq!(streamed.len(), batch.len());
-        for (ip, p) in &batch {
-            let s = &streamed[ip];
-            assert_eq!(s.flows_involving, p.flows_involving);
-            assert_eq!(s.bytes_uploaded, p.bytes_uploaded);
-            assert_eq!(s.repr, p.repr);
-        }
+        assert_eq!(acc.len(), 2);
+        assert_eq!(acc.finish().to_map(), batch);
     }
 
     #[test]
@@ -1196,14 +1113,6 @@ mod tests {
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.hosts().get(H2).map(pw_flow::HostId::index), Some(0));
         assert!(pt.get(H).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "start-time order")]
-    fn streaming_builder_rejects_out_of_order() {
-        let mut builder = ProfileBuilder::new(internal);
-        builder.push(&flow(H, E1, 100, 1, 1, false));
-        builder.push(&flow(H, E1, 50, 1, 1, false));
     }
 
     #[test]

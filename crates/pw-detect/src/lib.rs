@@ -71,14 +71,13 @@ pub mod tdg;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError, EngineCheckpoint};
 pub use detectors::{
-    theta_churn_view, theta_hm_view, theta_vol_view, BucketedHmParams, HistogramDistance,
-    HmOptions, HmOutcome, ThetaHmConfig, ThetaHmConfigBuilder, ThetaHmMode, ThetaHmProfile,
-    Threshold, MIN_CLUSTER_SIZE,
+    theta_churn_view, theta_hm_view, theta_vol_view, HistogramDistance, HmOptions, HmOutcome,
+    ThetaHmConfig, ThetaHmMode, ThetaHmProfile, Threshold, EXACT_BELOW, MIN_CLUSTER_SIZE,
 };
 pub use error::{ConfigError, Error};
 pub use features::{
     extract_profiles_table_par_tier, internal_endpoint, HostMask, HostProfile, ProfileAccumulator,
-    ProfileBuilder, ProfileRepr, ProfileTable, ProfileTier, ProfileView,
+    ProfileRepr, ProfileTable, ProfileTier, ProfileView,
 };
 pub use multiday::MultiDayReport;
 pub use perport::{find_plotters_per_service, PerServiceReport, ServiceKey};

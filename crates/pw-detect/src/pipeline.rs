@@ -7,8 +7,7 @@ use std::net::Ipv4Addr;
 use pw_flow::FlowTable;
 
 use crate::detectors::{
-    theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig,
-    ThetaHmMode, Threshold,
+    theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig, Threshold,
 };
 use crate::error::{ConfigError, Error};
 use crate::features::{
@@ -32,9 +31,9 @@ pub struct FindPlottersConfig {
     pub tau_hm: Threshold,
     /// Fraction of heaviest dendrogram links removed when forming clusters.
     pub cut_fraction: f64,
-    /// `θ_hm` clustering mode, fill tuning, and stage-profile switch. The
-    /// default ([`ThetaHmMode::Exact`], stock tuning, profile off) keeps
-    /// the pipeline byte-identical to its historical output.
+    /// `θ_hm` clustering mode and stage-profile switch. The default
+    /// (exact mode, profile off) keeps the pipeline byte-identical to its
+    /// historical output.
     pub theta_hm: ThetaHmConfig,
 }
 
@@ -92,7 +91,6 @@ impl FindPlottersConfig {
         if !self.cut_fraction.is_finite() || self.cut_fraction <= 0.0 || self.cut_fraction >= 1.0 {
             return Err(ConfigError::CutFraction(self.cut_fraction));
         }
-        self.theta_hm.validate()?;
         Ok(())
     }
 }
@@ -135,22 +133,9 @@ impl FindPlottersConfigBuilder {
         self
     }
 
-    /// Replaces the whole `θ_hm` configuration (mode + tuning + profile).
+    /// Sets the `θ_hm` clustering mode and stage-profile switch.
     pub fn theta_hm(mut self, t: ThetaHmConfig) -> Self {
         self.cfg.theta_hm = t;
-        self
-    }
-
-    /// Sets just the `θ_hm` clustering mode, keeping tuning defaults.
-    pub fn theta_hm_mode(mut self, mode: ThetaHmMode) -> Self {
-        self.cfg.theta_hm.mode = mode;
-        self
-    }
-
-    /// Toggles the `θ_hm` stage profile
-    /// ([`ThetaHmProfile`](crate::detectors::ThetaHmProfile)).
-    pub fn hm_profile(mut self, on: bool) -> Self {
-        self.cfg.theta_hm.profile = on;
         self
     }
 

@@ -33,9 +33,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pw_detect::{
-    theta_hm_view, try_find_plotters_from_table, BucketedHmParams, FindPlottersConfig, HmOptions,
-    HmOutcome, HostMask, HostProfile, ProfileRepr, ProfileView, ThetaHmConfig, ThetaHmMode,
-    ThetaHmProfile,
+    theta_hm_view, try_find_plotters_from_table, FindPlottersConfig, HmOptions, HmOutcome,
+    HostMask, HostProfile, ProfileRepr, ProfileView, ThetaHmConfig, ThetaHmMode, ThetaHmProfile,
+    EXACT_BELOW,
 };
 use pw_netsim::SimTime;
 use pw_repro::{build_context, table, Scale};
@@ -152,12 +152,8 @@ fn run_hm(
 
 fn bucketed(exact_below: usize) -> ThetaHmConfig {
     ThetaHmConfig {
-        mode: ThetaHmMode::Bucketed(BucketedHmParams {
-            exact_below,
-            ..Default::default()
-        }),
+        mode: ThetaHmMode::Bucketed { exact_below },
         profile: true,
-        ..Default::default()
     }
 }
 
@@ -191,12 +187,7 @@ fn main() -> ExitCode {
     for &n in fixture_ns {
         let (profiles, s, periodic) = synth_population(n);
         let (exact, exact_ms) = run_hm(&profiles, &s, ThetaHmConfig::default(), 1);
-        let (auto, auto_ms) = run_hm(
-            &profiles,
-            &s,
-            bucketed(BucketedHmParams::default().exact_below),
-            1,
-        );
+        let (auto, auto_ms) = run_hm(&profiles, &s, bucketed(EXACT_BELOW), 1);
         let identical = exact.kept == auto.kept
             && exact.clusters == auto.clusters
             && exact.tau.to_bits() == auto.tau.to_bits();
@@ -255,7 +246,7 @@ fn main() -> ExitCode {
     let ctx = build_context(scale);
     let cfg_exact = FindPlottersConfig::default();
     let cfg_auto = FindPlottersConfig {
-        theta_hm: bucketed(BucketedHmParams::default().exact_below),
+        theta_hm: bucketed(EXACT_BELOW),
         ..Default::default()
     };
     let cfg_forced = FindPlottersConfig {

@@ -121,10 +121,14 @@ enum Msg {
     /// session was severed before any protocol dispatch.
     DeadlineRefused,
     /// A text command; reply with the full response text (capacity-1
-    /// `sync_channel`, same contract as [`Msg::Hello`]).
+    /// `sync_channel`, same contract as [`Msg::Hello`]). The session
+    /// drops the sender behind `written` once the response is flushed to
+    /// its socket (or the write failed), so `SHUTDOWN` can wait for its
+    /// own `ok` to leave the process before stopping the server.
     Query {
         line: String,
         reply: SyncSender<String>,
+        written: Receiver<()>,
     },
 }
 
@@ -246,7 +250,8 @@ impl Server {
     /// - `FINISH` — applies all buffered flows and closes every open
     ///   window (end of input);
     /// - `CHECKPOINT` — forces a checkpoint now;
-    /// - `SHUTDOWN` — final checkpoint, then the server stops.
+    /// - `SHUTDOWN` — final checkpoint, then the server stops: `run`
+    ///   returns once the `ok` reply has been flushed to the client.
     ///
     /// # Errors
     ///
@@ -581,10 +586,18 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
             }
             Msg::Reaped => st.sessions_reaped += 1,
             Msg::DeadlineRefused => st.deadline_failures += 1,
-            Msg::Query { line, reply } => {
+            Msg::Query {
+                line,
+                reply,
+                written,
+            } => {
                 let (response, shutdown) = st.handle_query(&line);
                 let _ = reply.send(response);
                 if shutdown {
+                    // `run` returns as soon as the accept loop sees the
+                    // flag, and the process may exit with it: stop only
+                    // once the session has flushed the `ok`.
+                    let _ = written.recv();
                     stop.store(true, Ordering::SeqCst);
                     // Wake the accept loop so it observes the flag.
                     let _ = TcpStream::connect(addr);
@@ -794,16 +807,21 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
         let cmd = line.trim().to_owned();
         if !cmd.is_empty() {
             let (reply_tx, reply_rx) = sync_channel(1);
+            let (written_tx, written_rx) = sync_channel::<()>(0);
             let sent = tx.send(Msg::Query {
                 line: cmd.clone(),
                 reply: reply_tx,
+                written: written_rx,
             });
             let response = match (sent, reply_rx.recv()) {
                 (Ok(()), Ok(r)) => r,
                 _ => "err server stopped\n".to_owned(),
             };
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
+            let delivered = writer
+                .write_all(response.as_bytes())
+                .and_then(|()| writer.flush());
+            drop(written_tx);
+            delivered?;
             if cmd == "SHUTDOWN" {
                 return Ok(());
             }

@@ -18,8 +18,10 @@
 //!   that error path is why a shutdown cannot strand a blocked exporter.
 //! - Hello/Query replies ride capacity-1 channels: one message ever, so
 //!   the engine's reply send never blocks.
-//! - The engine replies to `SHUTDOWN` *before* setting the stop flag and
-//!   breaking, so the querying client always gets its `ok`.
+//! - The engine replies to `SHUTDOWN`, then waits until the query
+//!   session has flushed that reply to its socket before setting the stop
+//!   flag and breaking. `Server::run` returns (and the process may exit)
+//!   only after the stop flag is set, so the `ok` is on the wire first.
 //! - A caught engine panic flips `failed` without advancing the
 //!   exporter's sequence; later flows are ignored, queries still answer.
 //!
@@ -52,11 +54,14 @@ enum Exporter {
     Done,
 }
 
-/// Query-client thread program counter.
+/// Query-session thread program counter.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Query {
     Send,
     Await,
+    /// Holding the engine's reply, writing and flushing it to the socket.
+    Write,
+    /// Finished: the session dropped its `written` sender.
     Done,
 }
 
@@ -68,6 +73,10 @@ struct State {
     hello_reply: Option<u8>,
     /// Capacity-1 Query-reply channel.
     query_reply: bool,
+    /// The engine answered `SHUTDOWN`.
+    replied: bool,
+    /// The `SHUTDOWN` reply was flushed to the client's socket.
+    on_wire: bool,
     exporter: Exporter,
     /// The ack the exporter resumes from (per session).
     ack: u8,
@@ -80,8 +89,13 @@ struct State {
     failed: bool,
     /// Engine: panics caught.
     panics: u8,
+    /// Engine: replied to `SHUTDOWN`, blocked until the session drops
+    /// its `written` sender.
+    draining: bool,
     /// Stop flag — the engine broke its loop and dropped the receiver.
     stopped: bool,
+    /// `Server::run` returned: the process may exit at any moment.
+    exited: bool,
 }
 
 /// Model parameters for one exploration.
@@ -102,6 +116,8 @@ impl State {
             queue: VecDeque::new(),
             hello_reply: None,
             query_reply: false,
+            replied: false,
+            on_wire: false,
             exporter: Exporter::SendHello,
             ack: 0,
             query: if m.shutdown { Query::Send } else { Query::Done },
@@ -109,7 +125,9 @@ impl State {
             applied: [0; 4],
             failed: false,
             panics: 0,
+            draining: false,
             stopped: false,
+            exited: false,
         }
     }
 
@@ -119,7 +137,19 @@ impl State {
         self.exporter_steps(m, &mut out);
         self.query_steps(&mut out);
         self.engine_steps(m, &mut out);
+        self.run_steps(&mut out);
         out
+    }
+
+    /// `Server::run`: once the accept loop observes the stop flag it
+    /// drops its sender, joins the (already finished) engine thread and
+    /// returns.
+    fn run_steps(&self, out: &mut Vec<State>) {
+        if self.stopped && !self.exited {
+            let mut n = self.clone();
+            n.exited = true;
+            out.push(n);
+        }
     }
 
     /// `SyncSender::send`: succeeds when the queue has room, errors once
@@ -209,7 +239,7 @@ impl State {
                 if self.query_reply {
                     let mut n = self.clone();
                     n.query_reply = false;
-                    n.query = Query::Done;
+                    n.query = Query::Write;
                     out.push(n);
                 } else if self.stopped {
                     // Reply sender dropped with the queued message: the
@@ -219,12 +249,29 @@ impl State {
                     out.push(n);
                 }
             }
+            Query::Write => {
+                // write_all + flush, then the `written` sender drops.
+                let mut n = self.clone();
+                n.on_wire = self.replied;
+                n.query = Query::Done;
+                out.push(n);
+            }
             Query::Done => {}
         }
     }
 
     fn engine_steps(&self, m: &Model, out: &mut Vec<State>) {
         if self.stopped {
+            return;
+        }
+        if self.draining {
+            // `written.recv()` returns once the session dropped its sender.
+            if self.query == Query::Done {
+                let mut n = self.clone();
+                n.draining = false;
+                n.stopped = true;
+                out.push(n);
+            }
             return;
         }
         // recv: either a message is ready, or every sender is gone and
@@ -255,10 +302,12 @@ impl State {
                     // fall through without state change — exactly-once.
                 }
                 Msg::Shutdown => {
-                    // Reply first, then stop: the querying client always
-                    // hears `ok` (even in the fail-safe state).
+                    // Reply first, and stop only after the session has
+                    // flushed it: the querying client always hears `ok`
+                    // (even in the fail-safe state).
                     n.query_reply = true;
-                    n.stopped = true;
+                    n.replied = true;
+                    n.draining = true;
                 }
             }
             out.push(n);
@@ -283,7 +332,9 @@ fn query_send_step(st: &State, m: &Model, out: &mut Vec<State>) {
 }
 
 /// DFS over every reachable interleaving; calls `check` on each terminal
-/// state and panics on any stuck non-terminal state (deadlock).
+/// state and panics on any stuck non-terminal state (deadlock) and on any
+/// state where `run` has returned while an answered `SHUTDOWN` has not yet
+/// reached the client's socket.
 fn explore(m: &Model, check: impl Fn(&State)) -> usize {
     let mut seen: HashSet<State> = HashSet::new();
     let mut stack = vec![State::initial(m)];
@@ -292,12 +343,16 @@ fn explore(m: &Model, check: impl Fn(&State)) -> usize {
         if !seen.insert(st.clone()) {
             continue;
         }
+        assert!(
+            !st.exited || !st.replied || st.on_wire,
+            "run returned before the SHUTDOWN reply was on the wire: {st:?}"
+        );
         let mut next = st.successors(m);
         query_send_step(&st, m, &mut next);
         if next.is_empty() {
             let all_done = st.exporter == Exporter::Done && st.query == Query::Done;
             assert!(
-                all_done && st.stopped,
+                all_done && st.exited,
                 "deadlocked interleaving: no enabled step in {st:?}"
             );
             check(&st);

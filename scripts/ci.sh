@@ -88,6 +88,12 @@ echo "==> bench smoke (detect and flow benches execute one iteration)"
 cargo bench -q -p pw-bench --bench detect -- --test
 cargo bench -q -p pw-bench --bench flow -- --test
 
+echo "==> perfbench compiles against the current library API"
+# The benchmark harness is its own package outside the workspace, so the
+# stages above never build it; an API change that breaks it would only
+# surface when the benchmark runs.
+cargo check --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (public docs must build cleanly)"
 cargo doc --workspace --no-deps -q
 

@@ -4,7 +4,7 @@
 //! cargo run --release --bin findplotters -- flows.csv \
 //!     [--internal CIDR]... [--truth hosts.csv] \
 //!     [--tau-vol P] [--tau-churn P] [--tau-hm P] [--no-reduction] \
-//!     [--theta-hm-mode exact|bucketed[:EB:TB:Q:R]] [--hm-profile] \
+//!     [--theta-hm-mode exact|bucketed[:EXACT_BELOW]] [--hm-profile] \
 //!     [--threads N] [--window HOURS [--slide HOURS] [--lateness MINS]] \
 //!     [--late-policy reject|drop|extend] [--max-flows N] \
 //!     [--dedupe] [--reject-invalid] [--quarantine FILE] \
@@ -37,11 +37,12 @@
 //! a fixed number of bytes however many destinations it contacts, at the
 //! price of approximate distinct counts on hosts above the sketch caps.
 //!
-//! `--theta-hm-mode bucketed[:EB:TB:Q:R]` enables the sub-quadratic `θ_hm`
-//! clustering path (quantile-embedding + coarse bucketing) for populations
-//! of at least `EB` hosts (default 8192; smaller populations always run
-//! the exact path, bit-identically). `--hm-profile` attaches a per-stage
-//! wall-clock split to each verdict's `θ_hm` outcome.
+//! `--theta-hm-mode bucketed[:EXACT_BELOW]` enables the sub-quadratic
+//! `θ_hm` clustering path (quantile-embedding + coarse bucketing) for
+//! populations of at least `EXACT_BELOW` hosts (default 8192; smaller
+//! populations always run the exact path, bit-identically; `bucketed:0`
+//! forces bucketing). `--hm-profile` attaches a per-stage wall-clock split
+//! to each verdict's `θ_hm` outcome.
 //!
 //! Three subcommands run detection as a service (see `pw-server`):
 //!
@@ -88,8 +89,8 @@ use peerwatch::detect::checkpoint::{
 };
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::detect::{
-    try_find_plotters_table_tier, Error, FindPlottersConfig, PlotterReport, ProfileTier,
-    ThetaHmMode, Threshold,
+    try_find_plotters_table_tier, Error, FindPlottersConfig, FindPlottersConfigBuilder,
+    PlotterReport, ProfileTier, ThetaHmConfig, ThetaHmMode, Threshold,
 };
 use peerwatch::flow::csvio::{format_flow, read_flows_lossy, RowError};
 use peerwatch::flow::FlowTable;
@@ -100,7 +101,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: findplotters <flows.csv> [--internal CIDR]... [--truth hosts.csv] \
          [--tau-vol P] [--tau-churn P] [--tau-hm P] [--no-reduction] \
-         [--theta-hm-mode exact|bucketed[:EB:TB:Q:R]] [--hm-profile] \
+         [--theta-hm-mode exact|bucketed[:EXACT_BELOW]] [--hm-profile] \
          [--threads N] [--window HOURS [--slide HOURS] [--lateness MINS]] \
          [--late-policy reject|drop|extend] [--max-flows N] [--dedupe] \
          [--reject-invalid] [--quarantine FILE] [--profile-tier exact|sketched] \
@@ -163,7 +164,7 @@ fn parse_theta_hm_mode(v: &str) -> ThetaHmMode {
     ThetaHmMode::from_name(v).unwrap_or_else(|| {
         bad_arg(&format!(
             "invalid value {v:?} for --theta-hm-mode: expected exact, bucketed, or \
-             bucketed:EXACT_BELOW:TARGET_BUCKET:QUANTILES:ROUNDS"
+             bucketed:EXACT_BELOW"
         ))
     })
 }
@@ -194,6 +195,92 @@ fn parse_late_policy(v: &str) -> LatePolicy {
         _ => bad_arg(&format!(
             "invalid value {v:?} for --late-policy: expected reject, drop, or extend"
         )),
+    }
+}
+
+/// The detection and engine flags shared by `findplotters` and
+/// `findplotters serve`, at their defaults until parsed.
+struct EngineFlags {
+    detect: FindPlottersConfigBuilder,
+    theta_hm: ThetaHmConfig,
+    threads: usize,
+    window_hours: Option<f64>,
+    slide_hours: Option<f64>,
+    lateness_mins: f64,
+    late_policy: LatePolicy,
+    max_flows: Option<usize>,
+    dedupe: bool,
+    reject_invalid: bool,
+    tier: ProfileTier,
+}
+
+impl EngineFlags {
+    fn new() -> Self {
+        Self {
+            detect: FindPlottersConfig::builder(),
+            theta_hm: ThetaHmConfig::default(),
+            threads: 1,
+            window_hours: None,
+            slide_hours: None,
+            lateness_mins: 10.0,
+            late_policy: LatePolicy::Reject,
+            max_flows: None,
+            dedupe: false,
+            reject_invalid: false,
+            tier: ProfileTier::Exact,
+        }
+    }
+
+    /// Consumes `flag` (and its value from `it`) when it is a shared flag;
+    /// returns `false`, consuming nothing, otherwise.
+    fn parse(&mut self, flag: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
+        let percentile = |it: &mut std::slice::Iter<'_, String>| {
+            Threshold::Percentile(parse_f64(flag, &next_value(it, flag)))
+        };
+        match flag {
+            "--tau-vol" => self.detect = self.detect.tau_vol(percentile(it)),
+            "--tau-churn" => self.detect = self.detect.tau_churn(percentile(it)),
+            "--tau-hm" => self.detect = self.detect.tau_hm(percentile(it)),
+            "--no-reduction" => self.detect = self.detect.with_reduction(false),
+            "--theta-hm-mode" => self.theta_hm.mode = parse_theta_hm_mode(&next_value(it, flag)),
+            "--hm-profile" => self.theta_hm.profile = true,
+            "--threads" => self.threads = parse_usize(flag, &next_value(it, flag)),
+            "--window" => self.window_hours = Some(parse_f64(flag, &next_value(it, flag))),
+            "--slide" => self.slide_hours = Some(parse_f64(flag, &next_value(it, flag))),
+            "--lateness" => self.lateness_mins = parse_f64(flag, &next_value(it, flag)),
+            "--late-policy" => self.late_policy = parse_late_policy(&next_value(it, flag)),
+            "--max-flows" => self.max_flows = Some(parse_usize(flag, &next_value(it, flag))),
+            "--dedupe" => self.dedupe = true,
+            "--reject-invalid" => self.reject_invalid = true,
+            "--profile-tier" => self.tier = parse_tier(&next_value(it, flag)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The validated detection configuration; exits on an invalid one.
+    fn detect(&self) -> FindPlottersConfig {
+        self.detect
+            .theta_hm(self.theta_hm)
+            .build()
+            .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")))
+    }
+
+    /// The streaming-engine configuration over `window_hours`-long windows.
+    fn engine(&self, window_hours: f64, detect: FindPlottersConfig) -> EngineConfig {
+        EngineConfig {
+            window: SimDuration::from_secs_f64(window_hours * 3600.0),
+            slide: SimDuration::from_secs_f64(self.slide_hours.unwrap_or(window_hours) * 3600.0),
+            lateness: SimDuration::from_secs_f64(self.lateness_mins * 60.0),
+            threads: self.threads,
+            late_policy: self.late_policy,
+            max_flows: self.max_flows,
+            dedupe: self.dedupe,
+            reject_invalid: self.reject_invalid,
+            tier: self.tier,
+            detect,
+            ..Default::default()
+        }
     }
 }
 
@@ -310,49 +397,17 @@ fn load_flows(path: &str) -> Vec<peerwatch::flow::FlowRecord> {
 fn serve_main(args: &[String]) -> ! {
     let mut bind: Option<String> = None;
     let mut subnets: Vec<Subnet> = Vec::new();
-    let mut builder = FindPlottersConfig::builder();
-    let mut threads: usize = 1;
-    let mut window_hours: f64 = 24.0;
-    let mut slide_hours: Option<f64> = None;
-    let mut lateness_mins: f64 = 10.0;
-    let mut late_policy = LatePolicy::Reject;
-    let mut max_flows: Option<usize> = None;
-    let mut dedupe = false;
-    let mut reject_invalid = false;
-    let mut tier = ProfileTier::Exact;
+    let mut flags = EngineFlags::new();
     let mut server_builder = ServerConfig::builder();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.parse(a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--bind" => bind = Some(next_value(&mut it, a)),
             "--internal" => subnets.push(parse_cidr(&next_value(&mut it, a))),
-            "--tau-vol" => {
-                builder =
-                    builder.tau_vol(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-churn" => {
-                builder =
-                    builder.tau_churn(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-hm" => {
-                builder =
-                    builder.tau_hm(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--no-reduction" => builder = builder.with_reduction(false),
-            "--theta-hm-mode" => {
-                builder = builder.theta_hm_mode(parse_theta_hm_mode(&next_value(&mut it, a)));
-            }
-            "--hm-profile" => builder = builder.hm_profile(true),
-            "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = parse_f64(a, &next_value(&mut it, a)),
-            "--slide" => slide_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_f64(a, &next_value(&mut it, a)),
-            "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
-            "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
-            "--dedupe" => dedupe = true,
-            "--reject-invalid" => reject_invalid = true,
-            "--profile-tier" => tier = parse_tier(&next_value(&mut it, a)),
             "--checkpoint" => {
                 server_builder = server_builder.checkpoint_path(next_value(&mut it, a));
             }
@@ -391,22 +446,7 @@ fn serve_main(args: &[String]) -> ! {
         subnets.push(parse_cidr("10.1.0.0/16"));
         subnets.push(parse_cidr("10.2.0.0/16"));
     }
-    let detect = builder
-        .build()
-        .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")));
-    let engine_cfg = EngineConfig {
-        window: SimDuration::from_secs_f64(window_hours * 3600.0),
-        slide: SimDuration::from_secs_f64(slide_hours.unwrap_or(window_hours) * 3600.0),
-        lateness: SimDuration::from_secs_f64(lateness_mins * 60.0),
-        threads,
-        late_policy,
-        max_flows,
-        dedupe,
-        reject_invalid,
-        tier,
-        detect,
-        ..Default::default()
-    };
+    let engine_cfg = flags.engine(flags.window_hours.unwrap_or(24.0), flags.detect());
     let server_cfg = server_builder
         .engine(engine_cfg)
         .build()
@@ -588,16 +628,7 @@ fn main() {
     let mut flows_path: Option<String> = None;
     let mut subnets: Vec<Subnet> = Vec::new();
     let mut truth_path: Option<String> = None;
-    let mut builder = FindPlottersConfig::builder();
-    let mut threads: usize = 1;
-    let mut window_hours: Option<f64> = None;
-    let mut slide_hours: Option<f64> = None;
-    let mut lateness_mins: f64 = 10.0;
-    let mut late_policy = LatePolicy::Reject;
-    let mut max_flows: Option<usize> = None;
-    let mut dedupe = false;
-    let mut reject_invalid = false;
-    let mut tier = ProfileTier::Exact;
+    let mut flags = EngineFlags::new();
     let mut quarantine_path: Option<String> = None;
     let mut checkpoint_path: Option<String> = None;
     let mut checkpoint_every: usize = 10_000;
@@ -606,35 +637,12 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.parse(a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--internal" => subnets.push(parse_cidr(&next_value(&mut it, a))),
             "--truth" => truth_path = Some(next_value(&mut it, a)),
-            "--tau-vol" => {
-                builder =
-                    builder.tau_vol(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-churn" => {
-                builder =
-                    builder.tau_churn(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-hm" => {
-                builder =
-                    builder.tau_hm(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--no-reduction" => builder = builder.with_reduction(false),
-            "--theta-hm-mode" => {
-                builder = builder.theta_hm_mode(parse_theta_hm_mode(&next_value(&mut it, a)));
-            }
-            "--hm-profile" => builder = builder.hm_profile(true),
-            "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--slide" => slide_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_f64(a, &next_value(&mut it, a)),
-            "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
-            "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
-            "--dedupe" => dedupe = true,
-            "--reject-invalid" => reject_invalid = true,
-            "--profile-tier" => tier = parse_tier(&next_value(&mut it, a)),
             "--quarantine" => quarantine_path = Some(next_value(&mut it, a)),
             "--checkpoint" => checkpoint_path = Some(next_value(&mut it, a)),
             "--checkpoint-every" => checkpoint_every = parse_usize(a, &next_value(&mut it, a)),
@@ -650,7 +658,7 @@ fn main() {
     if resume && checkpoint_path.is_none() {
         bad_arg("--resume requires --checkpoint FILE");
     }
-    if checkpoint_path.is_some() && window_hours.is_none() {
+    if checkpoint_path.is_some() && flags.window_hours.is_none() {
         bad_arg("--checkpoint only applies to streaming mode (--window)");
     }
     if checkpoint_every == 0 {
@@ -660,9 +668,7 @@ fn main() {
         subnets.push(parse_cidr("10.1.0.0/16"));
         subnets.push(parse_cidr("10.2.0.0/16"));
     }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")));
+    let cfg = flags.detect();
 
     let file = fs::File::open(&flows_path)
         .unwrap_or_else(|e| fail(&format!("cannot open {flows_path}: {e}")));
@@ -689,21 +695,9 @@ fn main() {
 
     let is_internal = |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
 
-    let report = if let Some(wh) = window_hours {
+    let report = if let Some(wh) = flags.window_hours {
         // Streaming mode: replay the file through the windowed engine.
-        let engine_cfg = EngineConfig {
-            window: SimDuration::from_secs_f64(wh * 3600.0),
-            slide: SimDuration::from_secs_f64(slide_hours.unwrap_or(wh) * 3600.0),
-            lateness: SimDuration::from_secs_f64(lateness_mins * 60.0),
-            threads,
-            late_policy,
-            max_flows,
-            dedupe,
-            reject_invalid,
-            tier,
-            detect: cfg,
-            ..Default::default()
-        };
+        let engine_cfg = flags.engine(wh, cfg);
         let snapshot_exists = |cp: &str| {
             Path::new(cp).exists()
                 || (1..=checkpoint_retain).any(|k| retained_path(Path::new(cp), k).exists())
@@ -840,8 +834,9 @@ fn main() {
         // it instead of re-scanning and re-hashing addresses per stage.
         let table = FlowTable::from_records(&flows);
         eprintln!("interned {} hosts", table.hosts().len());
-        let report = try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads)
-            .unwrap_or_else(|e| fail(&format!("detection failed: {e}")));
+        let report =
+            try_find_plotters_table_tier(&table, is_internal, &cfg, flags.tier, flags.threads)
+                .unwrap_or_else(|e| fail(&format!("detection failed: {e}")));
         print_report(&report);
         report
     };

@@ -455,15 +455,18 @@ fn downgraded_checkpoint_magic_is_refused() {
     }
     let snap = eng.checkpoint();
 
-    // Engine checkpoint: `v3` → `v2` (one flipped bit), the trailer-less
-    // format it replaced.
-    let forged = downgraded(&snap.serialize(), MAGIC, b'3' ^ 0x01);
-    assert!(forged.starts_with("peerwatch-checkpoint v2\n"));
-    let err = EngineCheckpoint::parse(&forged).unwrap_err();
-    assert!(
-        matches!(&err, CheckpointError::BadMagic { found } if found.ends_with("v2")),
-        "{err}"
-    );
+    // Engine checkpoint: `v4` → `v3`, the format that still carried the
+    // retired θ_hm fill-tuning fields, and → `v2`, the trailer-less one
+    // before it.
+    for (older, name) in [(b'3', "v3"), (b'2', "v2")] {
+        let forged = downgraded(&snap.serialize(), MAGIC, older);
+        assert!(forged.starts_with(&format!("peerwatch-checkpoint {name}\n")));
+        let err = EngineCheckpoint::parse(&forged).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::BadMagic { found } if found.ends_with(name)),
+            "{err}"
+        );
+    }
 
     // Server checkpoint: `v2` → `v1`, likewise trailer-less before.
     let server = ServerCheckpoint {
