@@ -17,7 +17,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v4
+//! peerwatch-checkpoint v5
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... theta_hm=exact hm_profile=0
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -38,7 +38,10 @@
 //! line-oriented format would otherwise accept many single-byte
 //! corruptions, e.g. a flipped digit in a counter). This is the only
 //! format read or written: any other header is refused up front, and
-//! every field is required.
+//! every field is required. A count in the file (`buffer N`,
+//! `window K N`) is never trusted to size an allocation: rows are
+//! collected as they parse, so a forged count on a short file ends in a
+//! typed `missing flow row` error.
 //!
 //! For crash-safety beyond the atomic rename, [`write_checkpoint_retained`]
 //! keeps the last *N* snapshots (`<path>.1` is the previous one, `<path>.2`
@@ -78,11 +81,13 @@ use pw_netsim::{SimDuration, SimTime};
 use crate::detectors::{ThetaHmConfig, ThetaHmMode, Threshold};
 use crate::features::ProfileTier;
 use crate::pipeline::FindPlottersConfig;
-use crate::stream::{EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
+use crate::stream::{EngineConfig, EngineStats, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
 /// format evolution. The format requires the `checksum crc32=` trailer.
-pub const MAGIC: &str = "peerwatch-checkpoint v4";
+/// v5 dropped the stall-detector and eviction fields that v4 carried; a
+/// v4 file is refused as [`CheckpointError::BadMagic`].
+pub const MAGIC: &str = "peerwatch-checkpoint v5";
 
 /// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
@@ -146,10 +151,6 @@ pub struct EngineCheckpoint {
     pub window_dropped: u64,
     /// Quarantine delta awaiting the next report.
     pub window_quarantined: u64,
-    /// Watermark value at the last stall check.
-    pub stall_watermark: SimTime,
-    /// Feed-clock instant of the last observed watermark advance.
-    pub stall_progress_at: Option<SimTime>,
     /// Flows still in the reorder buffer (order-independent; restore
     /// rebuilds the buffer's canonical ordering).
     pub buffer: Vec<FlowRecord>,
@@ -253,27 +254,20 @@ impl EngineCheckpoint {
         let mut out = String::new();
         out.push_str(MAGIC);
         out.push('\n');
-        let eviction = match c.eviction {
-            EvictionPolicy::WindowScoped => "window".to_string(),
-            EvictionPolicy::IdleLongerThan(d) => format!("idle:{}", d.as_millis()),
-        };
         let late = match c.late_policy {
             LatePolicy::Reject => "reject",
             LatePolicy::Drop => "drop",
             LatePolicy::ExtendOldest => "extend",
         };
         out.push_str(&format!(
-            "engine window_ms={} slide_ms={} lateness_ms={} threads={} eviction={} \
-             late_policy={} max_flows={} stall_timeout_ms={} dedupe={} reject_invalid={} \
-             tier={}\n",
+            "engine window_ms={} slide_ms={} lateness_ms={} threads={} late_policy={} \
+             max_flows={} dedupe={} reject_invalid={} tier={}\n",
             c.window.as_millis(),
             c.slide.as_millis(),
             c.lateness.as_millis(),
             c.threads,
-            eviction,
             late,
             opt_ms(c.max_flows.map(|n| n as u64)),
-            opt_ms(c.stall_timeout.map(pw_netsim::SimDuration::as_millis)),
             u8::from(c.dedupe),
             u8::from(c.reject_invalid),
             c.tier.name(),
@@ -290,16 +284,14 @@ impl EngineCheckpoint {
             u8::from(c.detect.theta_hm.profile),
         ));
         out.push_str(&format!(
-            "state watermark_ms={} applied_to_ms={} stall_watermark_ms={} stall_progress_at_ms={}\n",
+            "state watermark_ms={} applied_to_ms={}\n",
             self.watermark.as_millis(),
             self.applied_to.as_millis(),
-            self.stall_watermark.as_millis(),
-            opt_ms(self.stall_progress_at.map(pw_netsim::SimTime::as_millis)),
         ));
         let s = self.stats;
         out.push_str(&format!(
             "stats attempted={} accepted={} late={} late_dropped={} late_extended={} shed={} \
-             quarantined={} duplicates={} stall_flushes={} profile_bytes={} profiles_exact={} \
+             quarantined={} duplicates={} profile_bytes={} profiles_exact={} \
              profiles_sketched={}\n",
             s.attempted,
             s.accepted,
@@ -309,7 +301,6 @@ impl EngineCheckpoint {
             s.shed,
             s.quarantined,
             s.duplicates,
-            s.stall_flushes,
             s.profile_bytes,
             s.profiles_exact,
             s.profiles_sketched,
@@ -361,12 +352,8 @@ impl EngineCheckpoint {
             slide: SimDuration::from_millis(config_fields.num("slide_ms")?),
             lateness: SimDuration::from_millis(config_fields.num("lateness_ms")?),
             threads: config_fields.num("threads")? as usize,
-            eviction: config_fields.eviction()?,
             late_policy: config_fields.late_policy()?,
             max_flows: config_fields.opt_num("max_flows")?.map(|n| n as usize),
-            stall_timeout: config_fields
-                .opt_num("stall_timeout_ms")?
-                .map(SimDuration::from_millis),
             dedupe: config_fields.flag("dedupe")?,
             reject_invalid: config_fields.flag("reject_invalid")?,
             tier: config_fields.tier()?,
@@ -388,7 +375,6 @@ impl EngineCheckpoint {
             shed: stats_fields.num("shed")?,
             quarantined: stats_fields.num("quarantined")?,
             duplicates: stats_fields.num("duplicates")?,
-            stall_flushes: stats_fields.num("stall_flushes")?,
             profile_bytes: stats_fields.num("profile_bytes")?,
             profiles_exact: stats_fields.num("profiles_exact")?,
             profiles_sketched: stats_fields.num("profiles_sketched")?,
@@ -396,17 +382,14 @@ impl EngineCheckpoint {
 
         // Buffer section: "buffer <count>" then that many flow rows.
         let (buf_line, buf_rest) = section(&mut lines, "buffer")?;
-        let buf_count: usize = buf_rest
+        let buf_count: u64 = buf_rest
             .trim()
             .parse()
             .map_err(|_| CheckpointError::Format {
                 line: buf_line + 1,
                 reason: format!("invalid buffer count {:?}", buf_rest.trim()),
             })?;
-        let mut buffer = Vec::with_capacity(buf_count);
-        for _ in 0..buf_count {
-            buffer.push(flow_row(&mut lines)?);
-        }
+        let buffer = flow_rows(&mut lines, buf_count)?;
 
         // Zero or more "window <index> <count>" sections, then "end".
         let mut open = Vec::new();
@@ -433,12 +416,8 @@ impl EngineCheckpoint {
                     })
             };
             let index = parse(parts.next(), "index")?;
-            let count = parse(parts.next(), "flow count")? as usize;
-            let mut flows = Vec::with_capacity(count);
-            for _ in 0..count {
-                flows.push(flow_row(&mut lines)?);
-            }
-            open.push((index, flows));
+            let count = parse(parts.next(), "flow count")?;
+            open.push((index, flow_rows(&mut lines, count)?));
         }
 
         Ok(EngineCheckpoint {
@@ -449,10 +428,6 @@ impl EngineCheckpoint {
             window_late: delta_fields.num("late")?,
             window_dropped: delta_fields.num("dropped")?,
             window_quarantined: delta_fields.num("quarantined")?,
-            stall_watermark: SimTime::from_millis(state_fields.num("stall_watermark_ms")?),
-            stall_progress_at: state_fields
-                .opt_num("stall_progress_at_ms")?
-                .map(SimTime::from_millis),
             buffer,
             open,
         })
@@ -496,15 +471,22 @@ fn section<'a>(
     Ok((lineno, rest))
 }
 
-/// Pulls the next line and parses it as a flow row.
-fn flow_row<'a>(
+/// Pulls the next `count` lines and parses each as a flow row. The
+/// vector grows with the rows actually present, so a forged count cannot
+/// reserve memory the file does not back.
+fn flow_rows<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
-) -> Result<FlowRecord, CheckpointError> {
-    let (lineno, line) = lines.next().ok_or(CheckpointError::Format {
-        line: 0,
-        reason: "truncated checkpoint: missing flow row".to_string(),
-    })?;
-    Ok(parse_flow(line, lineno + 1)?)
+    count: u64,
+) -> Result<Vec<FlowRecord>, CheckpointError> {
+    let mut rows = Vec::new();
+    for _ in 0..count {
+        let (lineno, line) = lines.next().ok_or_else(|| CheckpointError::Format {
+            line: 0,
+            reason: "truncated checkpoint: missing flow row".to_string(),
+        })?;
+        rows.push(parse_flow(line, lineno + 1)?);
+    }
+    Ok(rows)
 }
 
 /// `key=value` accessor over one section line.
@@ -583,18 +565,6 @@ impl<'a> Fields<'a> {
             Some(("a", bits)) => Ok(Threshold::Absolute(self.f64_from_hex(key, bits)?)),
             _ => Err(self.bad(key, v)),
         }
-    }
-
-    fn eviction(&self) -> Result<EvictionPolicy, CheckpointError> {
-        let v = self.get("eviction")?;
-        if v == "window" {
-            return Ok(EvictionPolicy::WindowScoped);
-        }
-        if let Some(ms) = v.strip_prefix("idle:") {
-            let ms: u64 = ms.parse().map_err(|_| self.bad("eviction", v))?;
-            return Ok(EvictionPolicy::IdleLongerThan(SimDuration::from_millis(ms)));
-        }
-        Err(self.bad("eviction", v))
     }
 
     fn tier(&self) -> Result<ProfileTier, CheckpointError> {
@@ -783,7 +753,6 @@ mod tests {
             slide: SimDuration::from_mins(5),
             lateness: SimDuration::from_mins(3),
             max_flows: Some(10_000),
-            stall_timeout: Some(SimDuration::from_mins(30)),
             detect: FindPlottersConfig {
                 cut_fraction: 0.07,
                 tau_vol: Threshold::Absolute(1234.5),
@@ -796,7 +765,6 @@ mod tests {
         for k in 0..40 {
             let _ = eng.push(flow(k));
         }
-        eng.tick(SimTime::from_secs(1));
         eng
     }
 
@@ -949,5 +917,50 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(EngineCheckpoint::parse(&truncated).is_err());
+    }
+
+    /// A sealed default-config snapshot whose rows section (`buffer 0`
+    /// and `end`, after the `deltas` line) is replaced by `rows`.
+    fn forged(rows: &str) -> String {
+        let text = DetectionEngine::new(EngineConfig::default(), internal)
+            .unwrap()
+            .checkpoint()
+            .serialize();
+        let mut body = split_checksum_trailer(&text)
+            .unwrap()
+            .replace("buffer 0\nend\n", rows);
+        append_checksum_trailer(&mut body);
+        body
+    }
+
+    #[test]
+    fn forged_row_counts_are_format_errors_not_allocations() {
+        let row = format_flow(&flow(1));
+        for rows in [
+            "buffer 18446744073709551615\n".to_string(),
+            "buffer 100000000000\n".to_string(),
+            format!("buffer 0\nwindow 3 18446744073709551615\n{row}\n"),
+            format!("buffer 0\nwindow 3 100000000000\n{row}\n"),
+        ] {
+            let err = EngineCheckpoint::parse(&forged(&rows)).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Format { reason, .. } if reason.contains("missing flow row")),
+                "{rows}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn restored_last_window_index_closes_without_overflow() {
+        let row = format_flow(&flow(1));
+        let snap = EngineCheckpoint::parse(&forged(&format!(
+            "buffer 0\nwindow 18446744073709551615 1\n{row}\nend\n"
+        )))
+        .unwrap();
+        let mut eng = DetectionEngine::restore(&snap, internal as fn(Ipv4Addr) -> bool).unwrap();
+        let reports = eng.finish();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].index, u64::MAX);
+        assert!(reports[0].end >= reports[0].start);
     }
 }

@@ -448,19 +448,6 @@ impl ProfileTable {
             .map(|(i, p)| (HostId::from_index(i), p))
     }
 
-    /// Keeps only hosts for which `keep` returns true, re-interning the
-    /// survivors — the streaming engine's eviction hook.
-    pub fn retain<K: FnMut(Ipv4Addr, &HostProfile) -> bool>(&mut self, mut keep: K) {
-        let hosts = std::mem::take(&mut self.hosts);
-        let profiles = std::mem::take(&mut self.profiles);
-        for (ip, p) in hosts.ips().iter().zip(profiles) {
-            if keep(*ip, &p) {
-                self.hosts.intern(*ip);
-                self.profiles.push(p);
-            }
-        }
-    }
-
     /// Converts into the row-oriented map shape.
     pub fn to_map(self) -> HashMap<Ipv4Addr, HostProfile> {
         self.hosts
@@ -1103,16 +1090,6 @@ mod tests {
                 extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
             assert_eq!(par, pt, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn profile_table_retain_reinterns() {
-        let flows = mixed_flows();
-        let mut pt = extract(&FlowTable::from_records(&flows), ProfileTier::Exact);
-        pt.retain(|ip, _| ip == H2);
-        assert_eq!(pt.len(), 1);
-        assert_eq!(pt.hosts().get(H2).map(pw_flow::HostId::index), Some(0));
-        assert!(pt.get(H).is_none());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! # Degraded modes
 //!
-//! Real border feeds stall, reorder, duplicate, and corrupt records. The
-//! engine survives all of it without panicking, and accounts for every
-//! record it could not process normally:
+//! Real border feeds reorder, duplicate, and corrupt records. The engine
+//! survives all of it without panicking, and accounts for every record it
+//! could not process normally:
 //!
 //! - **Late flows** — [`LatePolicy`] chooses between rejecting them as a
 //!   typed error (default), dropping them with a counter, or extending
@@ -32,14 +32,14 @@
 //!   across the reorder buffer and open windows; at the cap, incoming
 //!   flows are shed deterministically (newest first), counted, and still
 //!   advance the watermark so windows keep closing and memory drains.
-//! - **Watermark stalls** — with [`EngineConfig::stall_timeout`] set,
-//!   [`tick`](DetectionEngine::tick) force-closes every open window once
-//!   the watermark has not advanced for the timeout, so a dead feed
-//!   cannot hold verdicts (and their memory) hostage forever.
 //! - **Duplicates and corrupt records** —
 //!   [`EngineConfig::dedupe`] suppresses exact duplicate rows per window,
 //!   [`EngineConfig::reject_invalid`] quarantines semantically impossible
 //!   records at ingest; both are counted per window and cumulatively.
+//!
+//! A window closes in one of two ways: the watermark passes its end, or
+//! input ends and [`finish`](DetectionEngine::finish) force-closes every
+//! open window (EOF in batch replay, `FINISH` on the server).
 //!
 //! Everything above is deterministic: the same input sequence produces the
 //! same verdicts and the same counters, which is what makes the
@@ -68,26 +68,12 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use pw_flow::{ArgusAggregator, FlowRecord, FlowTable};
+use pw_flow::{FlowRecord, FlowTable};
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
-use crate::features::{border_host, extract_profiles_table_par_tier, internal_flags, ProfileTier};
+use crate::features::{extract_profiles_table_par_tier, ProfileTier};
 use crate::pipeline::{try_find_plotters_from_table, FindPlottersConfig, PlotterReport};
-
-/// When a window closes, which profiled hosts still take part in the
-/// verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Every host that produced a border flow inside the window is scored;
-    /// state is dropped wholesale when the window closes.
-    #[default]
-    WindowScoped,
-    /// Hosts silent for longer than the given duration before the window's
-    /// end are evicted before the threshold tests run (keeps a long window
-    /// from scoring hosts that left the network hours ago).
-    IdleLongerThan(SimDuration),
-}
 
 /// What happens to a flow that arrives after its lateness bound — its
 /// window may already be closed.
@@ -116,14 +102,12 @@ pub struct EngineConfig {
     pub slide: SimDuration,
     /// How far behind the watermark (maximum flow start seen) a flow may
     /// start and still be accepted. Feeds that deliver flows in completion
-    /// order — like [`ArgusAggregator`] — need at least the aggregator's
+    /// order — like [`pw_flow::ArgusAggregator`] — need at least the aggregator's
     /// idle timeout plus the longest expected flow duration.
     pub lateness: SimDuration,
     /// Worker threads for per-window profile extraction and threshold
     /// tests. Any value produces identical output.
     pub threads: usize,
-    /// Host participation rule at window close.
-    pub eviction: EvictionPolicy,
     /// What to do with flows older than the lateness bound.
     pub late_policy: LatePolicy,
     /// Upper bound on flows held in memory (reorder buffer plus open
@@ -131,10 +115,6 @@ pub struct EngineConfig {
     /// incoming flows are shed deterministically and counted as
     /// [`EngineStats::shed`].
     pub max_flows: Option<usize>,
-    /// If the watermark does not advance for this long (measured on the
-    /// feed clock passed to [`DetectionEngine::tick`]), every open window
-    /// is force-closed. `None` waits forever.
-    pub stall_timeout: Option<SimDuration>,
     /// Suppress exact duplicate rows inside each window before scoring
     /// (duplicates are counted either way). Off by default, which keeps
     /// streaming byte-identical to the batch path even on feeds that
@@ -159,10 +139,8 @@ impl Default for EngineConfig {
             slide: SimDuration::from_hours(24),
             lateness: SimDuration::from_mins(10),
             threads: 1,
-            eviction: EvictionPolicy::default(),
             late_policy: LatePolicy::default(),
             max_flows: None,
-            stall_timeout: None,
             dedupe: false,
             reject_invalid: false,
             tier: ProfileTier::default(),
@@ -213,9 +191,6 @@ impl EngineConfig {
         if self.max_flows == Some(0) {
             return Err(ConfigError::ZeroCapacity);
         }
-        if self.stall_timeout == Some(SimDuration::ZERO) {
-            return Err(ConfigError::ZeroStallTimeout);
-        }
         self.detect.validate()
     }
 }
@@ -254,12 +229,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the host participation rule at window close.
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.cfg.eviction = policy;
-        self
-    }
-
     /// Sets the policy for flows older than the lateness bound.
     pub fn late_policy(mut self, policy: LatePolicy) -> Self {
         self.cfg.late_policy = policy;
@@ -269,12 +238,6 @@ impl EngineConfigBuilder {
     /// Caps the flows held in memory (`None` is unbounded).
     pub fn max_flows(mut self, cap: Option<usize>) -> Self {
         self.cfg.max_flows = cap;
-        self
-    }
-
-    /// Sets the watermark stall timeout (`None` waits forever).
-    pub fn stall_timeout(mut self, timeout: Option<SimDuration>) -> Self {
-        self.cfg.stall_timeout = timeout;
         self
     }
 
@@ -335,8 +298,6 @@ pub struct EngineStats {
     pub quarantined: u64,
     /// Exact duplicate rows observed inside closed windows.
     pub duplicates: u64,
-    /// Stall flushes performed by [`DetectionEngine::tick`].
-    pub stall_flushes: u64,
     /// Estimated bytes held by the profiles of the most recently closed
     /// window (heap plus inline, summed over hosts).
     pub profile_bytes: u64,
@@ -358,10 +319,8 @@ pub struct WindowReport {
     /// Border and non-border flows assigned to the window (after
     /// deduplication, when enabled).
     pub flows: usize,
-    /// Hosts profiled inside the window (before eviction).
+    /// Hosts profiled inside the window.
     pub hosts: usize,
-    /// Hosts removed by the [`EvictionPolicy`] before scoring.
-    pub evicted: usize,
     /// Late flows observed since the previous report was emitted (each
     /// late flow is reported exactly once, on the next window to close).
     pub late: u64,
@@ -372,10 +331,6 @@ pub struct WindowReport {
     /// Exact duplicate rows inside this window (suppressed before scoring
     /// iff [`EngineConfig::dedupe`] is set).
     pub duplicates: u64,
-    /// Whether this window was force-closed by a stall flush or
-    /// [`finish`](DetectionEngine::finish) rather than by the watermark
-    /// passing its end.
-    pub forced: bool,
     /// The pipeline's verdict, or why no verdict was possible
     /// ([`Error::EmptyWindow`], [`Error::ThresholdUnresolvable`]).
     pub outcome: Result<PlotterReport, Error>,
@@ -391,9 +346,8 @@ fn buffer_key(f: &FlowRecord) -> BufferKey {
 
 /// Streaming windowed `FindPlotters`.
 ///
-/// Feed flows with [`push`](Self::push) (or drain an aggregator with
-/// [`drain_aggregator`](Self::drain_aggregator)); closed windows come back
-/// as [`WindowReport`]s. Call [`finish`](Self::finish) at end of input to
+/// Feed flows with [`push`](Self::push); closed windows come back as
+/// [`WindowReport`]s. Call [`finish`](Self::finish) at end of input to
 /// flush windows the watermark never passed. Long-running deployments
 /// snapshot the engine with [`checkpoint`](Self::checkpoint) and revive it
 /// with [`restore`](Self::restore) — see [`crate::checkpoint`].
@@ -423,10 +377,6 @@ pub struct DetectionEngine<F> {
     /// Flows currently held (buffer plus open windows, fan-out counted);
     /// the quantity [`EngineConfig::max_flows`] bounds.
     held: usize,
-    /// Watermark value at the last stall check.
-    pub(crate) stall_watermark: SimTime,
-    /// Feed-clock instant of the last observed watermark advance.
-    pub(crate) stall_progress_at: Option<SimTime>,
 }
 
 impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
@@ -446,8 +396,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_dropped: 0,
             window_quarantined: 0,
             held: 0,
-            stall_watermark: SimTime::ZERO,
-            stall_progress_at: None,
         })
     }
 
@@ -481,8 +429,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         engine.window_late = snapshot.window_late;
         engine.window_dropped = snapshot.window_dropped;
         engine.window_quarantined = snapshot.window_quarantined;
-        engine.stall_watermark = snapshot.stall_watermark;
-        engine.stall_progress_at = snapshot.stall_progress_at;
         Ok(engine)
     }
 
@@ -499,8 +445,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_late: self.window_late,
             window_dropped: self.window_dropped,
             window_quarantined: self.window_quarantined,
-            stall_watermark: self.stall_watermark,
-            stall_progress_at: self.stall_progress_at,
             buffer: self.buffer.values().flatten().copied().collect(),
             open: self
                 .open
@@ -633,76 +577,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
     }
 
-    /// Drains every completed flow out of `agg` into the engine.
-    ///
-    /// The aggregator emits flows in completion order; they are re-sorted
-    /// by start before being pushed, so only flows older than the lateness
-    /// bound can fail (see [`EngineConfig::lateness`]).
-    pub fn drain_aggregator(
-        &mut self,
-        agg: &mut ArgusAggregator,
-    ) -> Result<Vec<WindowReport>, Error> {
-        let mut flows = agg.drain_completed();
-        flows.sort_by_key(buffer_key);
-        let mut reports = Vec::new();
-        for f in flows {
-            reports.extend(self.push(f)?);
-        }
-        Ok(reports)
-    }
-
-    /// Reports feed-clock time to the stall detector. Call this
-    /// periodically (e.g. once per poll of an idle feed) with a monotone
-    /// `now`; when [`EngineConfig::stall_timeout`] elapses with no
-    /// watermark progress, every buffered flow is applied and every open
-    /// window is force-closed (marked [`WindowReport::forced`]), so a dead
-    /// feed cannot hold verdicts hostage. Without a configured timeout
-    /// this is a no-op.
-    pub fn tick(&mut self, now: SimTime) -> Vec<WindowReport> {
-        let Some(timeout) = self.cfg.stall_timeout else {
-            return Vec::new();
-        };
-        let progressed = self.watermark > self.stall_watermark;
-        let last_progress = match self.stall_progress_at {
-            Some(t) if !progressed => t,
-            _ => {
-                self.stall_watermark = self.watermark;
-                self.stall_progress_at = Some(now);
-                return Vec::new();
-            }
-        };
-        let since = now.since(last_progress);
-        if since < timeout {
-            return Vec::new();
-        }
-        self.stall_progress_at = Some(now);
-        if self.buffer.is_empty() && self.open.is_empty() {
-            return Vec::new();
-        }
-        self.stats.stall_flushes += 1;
-        self.flush_all(true)
-    }
-
     /// End of input: applies every buffered flow and closes every open
-    /// window, in index order.
+    /// window, in index order. Afterwards `applied_to` covers both the
+    /// watermark and every closed window's end, so a resumed feed cannot
+    /// reopen a closed index — its flows are late and the [`LatePolicy`]
+    /// takes over.
     pub fn finish(&mut self) -> Vec<WindowReport> {
-        self.flush_all(false)
-    }
-
-    /// Applies everything buffered and closes every open window. `forced`
-    /// marks the reports as stall-closed rather than watermark-closed.
-    /// Afterwards `applied_to` covers both the watermark and every closed
-    /// window's end, so a resumed feed cannot reopen a closed index — its
-    /// flows are late and the [`LatePolicy`] takes over.
-    fn flush_all(&mut self, forced: bool) -> Vec<WindowReport> {
         self.applied_to = self.applied_to.max(self.watermark);
-        if forced {
-            // Flows exactly at the watermark are applied too; afterwards a
-            // revived feed must move strictly past the stall point.
-            self.applied_to = self
-                .applied_to
-                .max(SimTime::from_millis(self.watermark.as_millis() + 1));
-        }
         let ready = std::mem::take(&mut self.buffer);
         for f in ready.into_values().flatten() {
             self.held -= 1;
@@ -711,10 +592,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         let open = std::mem::take(&mut self.open);
         let mut reports = Vec::new();
         for (k, flows) in open {
-            self.applied_to = self
-                .applied_to
-                .max(SimTime::from_millis(k * self.cfg.slide.as_millis()) + self.cfg.window);
-            reports.push(self.close_window(k, flows, forced));
+            self.applied_to = self.applied_to.max(self.window_bounds(k).1);
+            reports.push(self.close_window(k, flows));
         }
         reports
     }
@@ -734,21 +613,29 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
         self.applied_to = cutoff;
 
-        let window_ms = self.cfg.window.as_millis();
-        let slide_ms = self.cfg.slide.as_millis();
         let closable: Vec<u64> = self
             .open
             .keys()
             .copied()
-            .take_while(|&k| k * slide_ms + window_ms <= self.applied_to.as_millis())
+            .take_while(|&k| self.window_bounds(k).1 <= self.applied_to)
             .collect();
         closable
             .into_iter()
             .filter_map(|k| {
                 let flows = self.open.remove(&k)?;
-                Some(self.close_window(k, flows, false))
+                Some(self.close_window(k, flows))
             })
             .collect()
+    }
+
+    /// `[start, end)` of window `k`. Both ends saturate at the last
+    /// representable instant, so a window index from a checkpoint or a
+    /// flow starting near the end of the `u64` range cannot overflow, and
+    /// `end >= start` always holds.
+    fn window_bounds(&self, k: u64) -> (SimTime, SimTime) {
+        let start = k.saturating_mul(self.cfg.slide.as_millis());
+        let end = start.saturating_add(self.cfg.window.as_millis());
+        (SimTime::from_millis(start), SimTime::from_millis(end))
     }
 
     /// Window indices whose span covers instant `t`.
@@ -773,10 +660,9 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
     }
 
-    fn close_window(&mut self, index: u64, flows: Vec<FlowRecord>, forced: bool) -> WindowReport {
+    fn close_window(&mut self, index: u64, flows: Vec<FlowRecord>) -> WindowReport {
         self.held -= flows.len();
-        let start = SimTime::from_millis(index * self.cfg.slide.as_millis());
-        let end = start + self.cfg.window;
+        let (start, end) = self.window_bounds(index);
         // The table interns hosts and (stably) re-sorts into the canonical
         // processing order — the same order the batch path uses, which keeps
         // the batch-equivalence guarantee independent of buffer internals.
@@ -793,8 +679,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
 
         let threads = self.cfg.threads;
         let tier = self.cfg.tier;
-        let mut profiles =
-            extract_profiles_table_par_tier(&table, &self.is_internal, tier, threads);
+        let profiles = extract_profiles_table_par_tier(&table, &self.is_internal, tier, threads);
         let hosts = profiles.len();
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
@@ -807,31 +692,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
         }
 
-        let evicted = match self.cfg.eviction {
-            EvictionPolicy::WindowScoped => 0,
-            EvictionPolicy::IdleLongerThan(idle) => {
-                let deadline =
-                    SimTime::from_millis(end.as_millis().saturating_sub(idle.as_millis()));
-                // Dense last-activity table indexed by the flow table's ids.
-                let flags = internal_flags(&table, &self.is_internal);
-                let mut last_seen = vec![SimTime::ZERO; table.hosts().len()];
-                for row in 0..table.len() {
-                    if let Some(host) = border_host(&table, row, &flags) {
-                        let e = &mut last_seen[host.index()];
-                        *e = (*e).max(table.start(row));
-                    }
-                }
-                let before = profiles.len();
-                profiles.retain(|host, _| {
-                    table
-                        .hosts()
-                        .get(host)
-                        .is_some_and(|id| last_seen[id.index()] >= deadline)
-                });
-                before - profiles.len()
-            }
-        };
-
         let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, threads);
         WindowReport {
             index,
@@ -839,12 +699,10 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             end,
             flows: window_flows,
             hosts,
-            evicted,
             late: std::mem::take(&mut self.window_late),
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: std::mem::take(&mut self.window_quarantined),
             duplicates,
-            forced,
             outcome,
         }
     }
@@ -961,13 +819,6 @@ mod tests {
                     ..ok
                 },
                 ConfigError::ZeroCapacity,
-            ),
-            (
-                EngineConfig {
-                    stall_timeout: Some(SimDuration::ZERO),
-                    ..ok
-                },
-                ConfigError::ZeroStallTimeout,
             ),
             (
                 EngineConfig {
@@ -1111,54 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_hosts_are_evicted_before_scoring() {
-        // One host active at the start of a 60-min window then silent; one
-        // active throughout.
-        let mut flows = Vec::new();
-        let idle = Ipv4Addr::new(10, 9, 0, 1);
-        let busy = Ipv4Addr::new(10, 9, 0, 2);
-        for k in 0..5u64 {
-            flows.push(flow(
-                idle,
-                Ipv4Addr::new(60, 0, 0, 1),
-                SimTime::from_secs(k * 30),
-                10,
-                false,
-            ));
-        }
-        for k in 0..60u64 {
-            flows.push(flow(
-                busy,
-                Ipv4Addr::new(60, 0, 0, 2),
-                SimTime::from_secs(k * 60),
-                10,
-                false,
-            ));
-        }
-        flows.sort_by_key(buffer_key);
-        let run = |eviction: EvictionPolicy| {
-            let mut eng = engine(EngineConfig {
-                window: SimDuration::from_mins(60),
-                slide: SimDuration::from_mins(60),
-                lateness: SimDuration::ZERO,
-                eviction,
-                ..Default::default()
-            });
-            for f in &flows {
-                eng.push(*f).unwrap();
-            }
-            eng.finish().pop().unwrap()
-        };
-        let scoped = run(EvictionPolicy::WindowScoped);
-        assert_eq!((scoped.hosts, scoped.evicted), (2, 0));
-        let idle_out = run(EvictionPolicy::IdleLongerThan(SimDuration::from_mins(30)));
-        assert_eq!((idle_out.hosts, idle_out.evicted), (2, 1));
-        if let Ok(r) = idle_out.outcome {
-            assert!(!r.all_hosts.contains(&idle));
-        }
-    }
-
-    #[test]
     fn empty_window_outcome_is_typed() {
         // Flows between two external hosts only: windows exist but no
         // border host is profiled.
@@ -1280,50 +1083,21 @@ mod tests {
     }
 
     #[test]
-    fn stall_tick_force_closes_open_windows() {
-        let mut eng = engine(EngineConfig {
-            window: SimDuration::from_mins(10),
-            slide: SimDuration::from_mins(10),
-            lateness: SimDuration::from_mins(10),
-            stall_timeout: Some(SimDuration::from_mins(1)),
-            ..Default::default()
-        });
+    fn flow_in_the_last_window_of_time_closes_without_overflow() {
         let a = Ipv4Addr::new(10, 1, 0, 1);
         let b = Ipv4Addr::new(60, 0, 0, 1);
-        eng.push(flow(a, b, SimTime::from_secs(30), 10, false))
-            .unwrap();
-        // First tick arms the detector; nothing closes.
-        assert!(eng.tick(SimTime::from_secs(0)).is_empty());
-        // Inside the timeout: still nothing.
-        assert!(eng.tick(SimTime::from_secs(30)).is_empty());
-        // Feed dead for over a minute: the buffered flow is applied and its
-        // window force-closed.
-        let reports = eng.tick(SimTime::from_secs(100));
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].forced);
-        assert_eq!(reports[0].flows, 1);
-        assert_eq!(eng.buffered(), 0);
-        assert_eq!(eng.open_windows(), 0);
-        assert_eq!(eng.stats().stall_flushes, 1);
-        // A revived feed cannot reopen the closed window: the flow is late.
-        let err = eng
-            .push(flow(a, b, SimTime::from_secs(40), 10, false))
-            .unwrap_err();
-        assert!(matches!(err, Error::LateFlow { .. }));
-        // An idle engine does not flush again.
-        assert!(eng.tick(SimTime::from_secs(300)).is_empty());
-        assert_eq!(eng.stats().stall_flushes, 1);
-    }
-
-    #[test]
-    fn tick_without_timeout_is_a_no_op() {
-        let mut eng = engine(EngineConfig::default());
-        let a = Ipv4Addr::new(10, 1, 0, 1);
-        let b = Ipv4Addr::new(60, 0, 0, 1);
-        eng.push(flow(a, b, SimTime::from_secs(30), 10, false))
-            .unwrap();
-        assert!(eng.tick(SimTime::from_hours(100)).is_empty());
-        assert_eq!(eng.buffered(), 1);
+        for start_ms in [u64::MAX - 1000, u64::MAX] {
+            let mut eng = engine(EngineConfig::default());
+            let mut f = flow(a, b, SimTime::ZERO, 10, false);
+            f.start = SimTime::from_millis(start_ms);
+            f.end = f.start;
+            let mut reports = eng.push(f).unwrap();
+            reports.extend(eng.finish());
+            assert_eq!(reports.len(), 1, "start_ms={start_ms}");
+            let w = &reports[0];
+            assert!(w.start <= f.start && w.end >= w.start, "{w:?}");
+            assert_eq!(w.end, SimTime::from_millis(u64::MAX));
+        }
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //! | tag | frame | body after the tag |
 //! |-----|-------|---------------------|
 //! | `0x01` | [`Frame::Flow`] | `seq` u64 + 127-byte flow record |
-//! | `0x02` | [`Frame::Tick`] | feed-clock `now_ms` u64 |
 //! | `0x03` | [`Frame::Bye`]  | empty |
+//!
+//! Tag `0x02` is retired (it carried a feed-clock heartbeat for a stall
+//! detector the server no longer has) and decodes as
+//! [`FrameError::UnknownTag`], like any other unknown tag.
 //!
 //! `seq` is the exporter's own monotone counter, starting at 0. The
 //! server acknowledges the next sequence it expects in [`HelloAck`], so a
@@ -112,7 +115,6 @@ pub const MAX_FRAME_LEN: u32 = 4096;
 
 /// Frame body tags.
 const TAG_FLOW: u8 = 0x01;
-const TAG_TICK: u8 = 0x02;
 const TAG_BYE: u8 = 0x03;
 
 /// Why a handshake or frame failed to decode.
@@ -249,11 +251,6 @@ pub enum Frame {
         /// The record itself.
         flow: FlowRecord,
     },
-    /// Feed-clock heartbeat driving the server's stall detector.
-    Tick {
-        /// Exporter's feed clock, milliseconds.
-        now_ms: u64,
-    },
     /// Clean end of stream; the connection closes after this.
     Bye,
 }
@@ -367,10 +364,6 @@ impl Frame {
                 buf.extend_from_slice(&seq.to_le_bytes());
                 encode_flow(buf, flow);
             }
-            Frame::Tick { now_ms } => {
-                buf.push(TAG_TICK);
-                buf.extend_from_slice(&now_ms.to_le_bytes());
-            }
             Frame::Bye => buf.push(TAG_BYE),
         }
         let body_len = (buf.len() - at - 4) as u32;
@@ -396,18 +389,6 @@ impl Frame {
                 Ok(Frame::Flow {
                     seq: u64_at(rest, 0),
                     flow: decode_flow(&rest[8..])?,
-                })
-            }
-            TAG_TICK => {
-                if rest.len() != 8 {
-                    return Err(FrameError::BadLength {
-                        tag,
-                        expected: 8,
-                        got: rest.len(),
-                    });
-                }
-                Ok(Frame::Tick {
-                    now_ms: u64_at(rest, 0),
                 })
             }
             TAG_BYE => {
@@ -544,18 +525,24 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
 /// Reads one length-prefixed frame for a session speaking `version`,
 /// verifying the CRC32 trailer on version-2 sessions before any decode.
 ///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary; EOF mid-frame
-/// is an [`FrameError::Io`] error. A corrupted length prefix surfaces as
-/// [`FrameError::Oversized`] or (because the misplaced read boundary
-/// shifts the trailer) [`FrameError::CrcMismatch`] — either way the
-/// caller knows the byte stream can no longer be trusted.
+/// Returns `Ok(None)` on a clean EOF at a frame boundary; EOF mid-frame,
+/// inside the length prefix included, is an [`FrameError::Io`] error. A
+/// corrupted length prefix surfaces as [`FrameError::Oversized`] or
+/// (because the misplaced read boundary shifts the trailer)
+/// [`FrameError::CrcMismatch`] — either way the caller knows the byte
+/// stream can no longer be trusted.
 pub fn read_frame_v<R: Read>(r: &mut R, version: u16) -> Result<Option<Frame>, FrameError> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
+    let first = loop {
+        match r.read(&mut len_buf[..1]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => break other?,
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
@@ -618,7 +605,6 @@ mod tests {
                 seq: 0,
                 flow: sample_flow(),
             },
-            Frame::Tick { now_ms: 1_000 },
             Frame::Bye,
         ];
         let mut wire = Vec::new();
@@ -633,7 +619,6 @@ mod tests {
 
         // Truncation mid-frame is an error, not a clean end.
         let mut r = &wire[..wire.len() - 1];
-        read_frame(&mut r).unwrap().unwrap();
         read_frame(&mut r).unwrap().unwrap();
         assert!(matches!(read_frame(&mut r), Err(FrameError::Io(_))));
     }
@@ -723,7 +708,6 @@ mod tests {
                 seq: 11,
                 flow: sample_flow(),
             },
-            Frame::Tick { now_ms: 2_000 },
             Frame::Bye,
         ];
         let mut wire = Vec::new();

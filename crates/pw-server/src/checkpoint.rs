@@ -92,9 +92,11 @@ impl ServerCheckpoint {
                 reason: format!("expected `exporters N`, found {header:?}"),
             })?;
         let mut exporters = BTreeMap::new();
-        for _ in 0..count {
-            let (n, line) = lines.next().ok_or(CheckpointError::Format {
-                line: count + 2,
+        for k in 0..count {
+            // Row `k` sits on line `k + 3`; the count itself is never used
+            // in arithmetic, so a forged `exporters N` cannot overflow.
+            let (n, line) = lines.next().ok_or_else(|| CheckpointError::Format {
+                line: k + 3,
                 reason: "truncated exporter table".to_owned(),
             })?;
             let mut it = line.split(' ');
@@ -116,7 +118,7 @@ impl ServerCheckpoint {
                 });
             }
         }
-        let (n, marker) = lines.next().ok_or(CheckpointError::Format {
+        let (n, marker) = lines.next().ok_or_else(|| CheckpointError::Format {
             line: count + 3,
             reason: "missing `engine-checkpoint` marker".to_owned(),
         })?;
@@ -254,6 +256,20 @@ mod tests {
             ServerCheckpoint::parse(&garbled),
             Err(CheckpointError::Format { line: 4, .. })
         ));
+    }
+
+    #[test]
+    fn forged_exporter_counts_are_format_errors() {
+        for count in ["18446744073709551615", "100000000000"] {
+            let forged = sealed(&format!(
+                "peerwatch-server-checkpoint v2\nexporters {count}\nexporter 1 5\n"
+            ));
+            let err = ServerCheckpoint::parse(&forged).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Format { line: 4, reason } if reason.contains("truncated")),
+                "{count}: {err}"
+            );
+        }
     }
 
     #[test]

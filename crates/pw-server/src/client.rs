@@ -152,9 +152,6 @@ pub struct SendOptions {
     /// Seeded connection-fault plan; [`ConnPlan::none`] streams in one
     /// unbroken connection.
     pub plan: ConnPlan,
-    /// Send a `Tick` heartbeat (feed clock = the flow's start time)
-    /// after every `n` flows, driving the server's stall detector.
-    pub tick_every: Option<usize>,
     /// Protocol version to speak ([`VERSION`] by default). Version 1
     /// drops the CRC trailers and the final delivery confirmation,
     /// matching pre-hardening exporters.
@@ -167,7 +164,6 @@ impl Default for SendOptions {
     fn default() -> Self {
         SendOptions {
             plan: ConnPlan::none(),
-            tick_every: None,
             version: VERSION,
             retry: RetryPolicy::default(),
         }
@@ -336,17 +332,6 @@ fn attempt<A: ToSocketAddrs>(
         )?;
         st.report.sent += 1;
         st.resume_from = k + 1;
-        if let Some(every) = opts.tick_every {
-            if every > 0 && (k + 1) % every == 0 {
-                frame::write_frame_v(
-                    &mut w,
-                    &Frame::Tick {
-                        now_ms: flow.start.as_millis(),
-                    },
-                    opts.version,
-                )?;
-            }
-        }
         if cuts.peek() == Some(&(k + 1)) {
             cuts.next();
             cut = true;

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,7 +31,6 @@ use pw_detect::checkpoint::{retained_path, CheckpointError};
 use pw_detect::{ConfigError, DetectionEngine, WindowReport};
 use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC, VERSION_V1};
 use pw_flow::FlowRecord;
-use pw_netsim::SimTime;
 
 use crate::checkpoint::{
     read_server_checkpoint_recover, write_server_checkpoint_retained, ServerCheckpoint,
@@ -109,8 +108,6 @@ enum Msg {
         seq: u64,
         flow: FlowRecord,
     },
-    /// Feed-clock heartbeat for the stall detector.
-    Tick { now_ms: u64 },
     /// A connection delivered a corrupt frame and was severed.
     /// `exporter_id` is `None` when the corruption hit the handshake
     /// itself (the claimed id cannot be trusted).
@@ -238,7 +235,9 @@ impl Server {
     /// starts a binary exporter session, anything else a text query
     /// session.
     ///
-    /// Query grammar (one command per line, responses end with `\n`):
+    /// Query grammar (one command per line, responses end with `\n`; a
+    /// line over 1 KiB gets `err query line too long` and a closed
+    /// connection):
     ///
     /// - `STATS` — one `stats key=value ...` line of engine counters;
     /// - `REPORT` — the latest window verdict: a `report ...` header,
@@ -397,7 +396,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
         let s = self.engine.stats();
         format!(
             "stats attempted={} accepted={} late={} late_dropped={} late_extended={} \
-             shed={} quarantined={} duplicates={} stall_flushes={} held={} \
+             shed={} quarantined={} duplicates={} held={} \
              exporters={} windows={} checkpoint_errors={} profile_bytes={} \
              profiles_exact={} profiles_sketched={} frames_corrupt={} sessions_reaped={} \
              engine_panics={}\n",
@@ -409,7 +408,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             s.shed,
             s.quarantined,
             s.duplicates,
-            s.stall_flushes,
             self.engine.held_flows(),
             self.exporters.len(),
             self.windows_total,
@@ -428,19 +426,17 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             return "report none\nend\n".to_owned();
         };
         let mut out = format!(
-            "report index={} start_ms={} end_ms={} flows={} hosts={} evicted={} \
-             late={} dropped={} quarantined={} duplicates={} forced={}\n",
+            "report index={} start_ms={} end_ms={} flows={} hosts={} late={} dropped={} \
+             quarantined={} duplicates={}\n",
             w.index,
             w.start.as_millis(),
             w.end.as_millis(),
             w.flows,
             w.hosts,
-            w.evicted,
             w.late,
             w.dropped,
             w.quarantined,
             w.duplicates,
-            u8::from(w.forced),
         );
         match &w.outcome {
             Ok(r) => {
@@ -564,17 +560,6 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
                             }
                         }
                     }
-                    Err(_) => st.fail_engine(),
-                }
-            }
-            Msg::Tick { now_ms } => {
-                if st.failed {
-                    continue;
-                }
-                match catch_unwind(AssertUnwindSafe(|| {
-                    st.engine.tick(SimTime::from_millis(now_ms))
-                })) {
-                    Ok(ws) => st.push_reports_bounded(ws),
                     Err(_) => st.fail_engine(),
                 }
             }
@@ -755,11 +740,6 @@ fn exporter_session(
                 }
                 return Ok(());
             }
-            Ok(Some(Frame::Tick { now_ms })) => {
-                if tx.send(Msg::Tick { now_ms }).is_err() {
-                    return Ok(());
-                }
-            }
             Ok(Some(Frame::Flow { seq, flow })) => {
                 let msg = Msg::Flow {
                     exporter_id: hello.exporter_id,
@@ -791,20 +771,40 @@ fn exporter_session(
     }
 }
 
+/// Longest query line accepted, newline excluded. The longest command
+/// (`CHECKPOINT`) needs a hundredth of it; a peer that sends more without
+/// a newline gets `err query line too long` and is disconnected, so it
+/// cannot grow a buffer without bound.
+const QUERY_LINE_MAX: usize = 1024;
+
 /// One query connection: text commands, one per line.
 fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     // The sniffed bytes are the start of the first command line.
     let mut line = String::from_utf8_lossy(&first).into_owned();
-    if let Err(e) = reader.read_line(&mut line) {
-        if is_timeout(&e) {
-            let _ = tx.send(Msg::Reaped);
-        }
-        return Err(e);
-    }
     loop {
+        // At most one byte past the cap: a newline-less flood cannot grow
+        // `line`. Like `read_line`, bytes that are not UTF-8 end the session.
+        let limit = (QUERY_LINE_MAX + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(limit).read_line(&mut line) {
+            Ok(0) if line.is_empty() => return Ok(()),
+            Ok(_) if !line.ends_with('\n') && line.len() > QUERY_LINE_MAX => {
+                writer.write_all(b"err query line too long\n")?;
+                writer.flush()?;
+                // FIN after the reply, so the client reads it and then EOF.
+                return writer.get_ref().shutdown(Shutdown::Write);
+            }
+            Ok(_) => {}
+            Err(e) => {
+                if is_timeout(&e) {
+                    let _ = tx.send(Msg::Reaped);
+                }
+                return Err(e);
+            }
+        }
         let cmd = line.trim().to_owned();
+        line.clear();
         if !cmd.is_empty() {
             let (reply_tx, reply_rx) = sync_channel(1);
             let (written_tx, written_rx) = sync_channel::<()>(0);
@@ -824,17 +824,6 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
             delivered?;
             if cmd == "SHUTDOWN" {
                 return Ok(());
-            }
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e) => {
-                if is_timeout(&e) {
-                    let _ = tx.send(Msg::Reaped);
-                }
-                return Err(e);
             }
         }
     }

@@ -47,8 +47,9 @@ cargo test -q -p pw-server --features loom --test engine_model
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> fault-injection suite (chaos + checkpoint/restore + corruption recovery + CSV decoder fuzz)"
-cargo test -q --test chaos_injection --test checkpoint_roundtrip --test csv_decoder_fuzz
+echo "==> fault-injection suite (chaos + checkpoint/restore + corruption recovery + CSV, PWFS and checkpoint decoder fuzz)"
+cargo test -q --test chaos_injection --test checkpoint_roundtrip --test csv_decoder_fuzz \
+  --test decoder_fuzz
 
 echo "==> sketch accuracy gate (exact vs sketched tier, fast scale)"
 # Campus-day suspect sets must be identical between tiers, the sketched

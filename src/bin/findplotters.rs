@@ -51,7 +51,7 @@
 //!     [--checkpoint FILE] [--checkpoint-every N] [--checkpoint-retain N] \
 //!     [--queue-depth N] [--io-timeout SECS]
 //! findplotters send <flows.csv> --connect ADDR --exporter ID \
-//!     [--cuts N --seed S] [--tick-every N] \
+//!     [--cuts N --seed S] \
 //!     [--retry N] [--backoff-base-ms N] [--backoff-cap-ms N] \
 //!     [--chaos-conns N --chaos-flips N [--chaos-cut] [--chaos-stall-ms N]]
 //! findplotters query --connect ADDR CMD...
@@ -110,7 +110,7 @@ fn usage() -> ! {
          [--checkpoint FILE] [--checkpoint-every N] [--checkpoint-retain N] \
          [--queue-depth N] [--io-timeout SECS]\n\
          \x20      findplotters send <flows.csv> --connect ADDR --exporter ID \
-         [--cuts N --seed S] [--tick-every N] [--retry N] [--backoff-base-ms N] \
+         [--cuts N --seed S] [--retry N] [--backoff-base-ms N] \
          [--backoff-cap-ms N] [--chaos-conns N --chaos-flips N [--chaos-cut] \
          [--chaos-stall-ms N]]\n\
          \x20      findplotters query --connect ADDR CMD..."
@@ -279,7 +279,6 @@ impl EngineFlags {
             reject_invalid: self.reject_invalid,
             tier: self.tier,
             detect,
-            ..Default::default()
         }
     }
 }
@@ -488,7 +487,6 @@ fn send_main(args: &[String]) -> ! {
             }
             "--cuts" => cuts = parse_usize(a, &next_value(&mut it, a)),
             "--seed" => seed = parse_usize(a, &next_value(&mut it, a)) as u64,
-            "--tick-every" => opts.tick_every = Some(parse_usize(a, &next_value(&mut it, a))),
             "--retry" => {
                 opts.retry.attempts = u32::try_from(parse_usize(a, &next_value(&mut it, a)))
                     .unwrap_or_else(|_| bad_arg("--retry must fit in 32 bits"));
@@ -788,27 +786,24 @@ fn main() {
             } else {
                 String::new()
             };
-            let forced = if w.forced { " [forced]" } else { "" };
             match &w.outcome {
                 Ok(r) => {
                     let mut s: Vec<_> = r.suspects.iter().collect();
                     s.sort();
                     println!(
-                        "window {:>3} [{} .. {}): {} flows, {} hosts ({} evicted), \
-                         {} suspects {s:?}{degraded}{forced}",
+                        "window {:>3} [{} .. {}): {} flows, {} hosts, {} suspects {s:?}{degraded}",
                         w.index,
                         w.start,
                         w.end,
                         w.flows,
                         w.hosts,
-                        w.evicted,
                         s.len()
                     );
                     union_suspects.extend(&r.suspects);
                     last_ok = Some(r.clone());
                 }
                 Err(e) => println!(
-                    "window {:>3} [{} .. {}): {} flows — no verdict: {e}{degraded}{forced}",
+                    "window {:>3} [{} .. {}): {} flows — no verdict: {e}{degraded}",
                     w.index, w.start, w.end, w.flows
                 ),
             }

@@ -21,7 +21,7 @@
 //! - [`data`]: dataset assembly — campus days, honeynet traces, overlays,
 //!   ground truth;
 //! - [`chaos`]: deterministic fault injection (drop/duplicate/reorder/
-//!   corrupt/stall) for hardening the streaming ingest path;
+//!   corrupt) for hardening the streaming ingest path;
 //! - [`server`]: detection as a service — a long-running TCP server that
 //!   ingests sequenced flow frames from multiple border exporters,
 //!   checkpoints atomically, and answers line-oriented queries

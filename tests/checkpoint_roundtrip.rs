@@ -156,7 +156,6 @@ fn resume_through_disk_continues_under_degraded_modes() {
         late_policy: LatePolicy::Drop,
         dedupe: true,
         max_flows: Some(10_000),
-        stall_timeout: Some(SimDuration::from_mins(30)),
         ..cfg(2)
     };
     let straight = {
@@ -455,10 +454,10 @@ fn downgraded_checkpoint_magic_is_refused() {
     }
     let snap = eng.checkpoint();
 
-    // Engine checkpoint: `v4` → `v3`, the format that still carried the
-    // retired θ_hm fill-tuning fields, and → `v2`, the trailer-less one
-    // before it.
-    for (older, name) in [(b'3', "v3"), (b'2', "v2")] {
+    // Engine checkpoint: `v5` → `v4`, the format that still carried the
+    // retired stall-detector and eviction fields, and → `v3`, the one with
+    // the retired θ_hm fill-tuning fields.
+    for (older, name) in [(b'4', "v4"), (b'3', "v3")] {
         let forged = downgraded(&snap.serialize(), MAGIC, older);
         assert!(forged.starts_with(&format!("peerwatch-checkpoint {name}\n")));
         let err = EngineCheckpoint::parse(&forged).unwrap_err();

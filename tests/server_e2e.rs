@@ -102,7 +102,6 @@ proptest! {
         for (seq, f) in flows.iter().enumerate() {
             frame::write_frame(&mut wire, &Frame::Flow { seq: seq as u64, flow: *f }).unwrap();
         }
-        frame::write_frame(&mut wire, &Frame::Tick { now_ms: 12345 }).unwrap();
         frame::write_frame(&mut wire, &Frame::Bye).unwrap();
 
         let mut r = wire.as_slice();
@@ -110,7 +109,6 @@ proptest! {
             let got = frame::read_frame(&mut r).unwrap().unwrap();
             prop_assert_eq!(got, Frame::Flow { seq: seq as u64, flow: *f });
         }
-        prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Tick { now_ms: 12345 });
         prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Bye);
         prop_assert_eq!(frame::read_frame(&mut r).unwrap(), None, "clean EOF after Bye");
     }
@@ -717,6 +715,45 @@ fn engine_panic_enters_failsafe_and_queries_still_answer() {
     // finishes fail consistently, and shutdown works cleanly.
     assert!(query(&addr, "STATS")[0].starts_with("stats "));
     assert!(query(&addr, "FINISH")[0].starts_with("err"));
+    assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
+    run.join().expect("server thread").expect("clean shutdown");
+}
+
+// ---------------------------------------------------------------------------
+// Query-line bound: a newline-less flood is refused, not buffered
+// ---------------------------------------------------------------------------
+
+#[test]
+fn oversized_query_line_is_refused_and_the_server_still_answers() {
+    if !can_bind() {
+        eprintln!("skipping: cannot bind loopback sockets in this environment");
+        return;
+    }
+    let cfg = ServerConfig::builder().build().expect("config");
+    let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
+    let addr = server.local_addr().to_string();
+    let run = thread::spawn(move || server.run());
+
+    let mut stream = TcpStream::connect(&addr).expect("connect query");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read deadline");
+    // 1 MiB without a newline. The server stops reading after its line
+    // cap and closes, so the tail of this write may fail; that is fine.
+    let _ = stream.write_all(&vec![b'S'; 1 << 20]);
+    let mut replies = BufReader::new(stream).lines();
+    assert_eq!(replies.next().unwrap().unwrap(), "err query line too long");
+    // Then the connection is closed: EOF, or a reset if the unread flood
+    // was still queued when the server closed its socket.
+    match replies.next() {
+        None => {}
+        Some(Err(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the connection stayed open: {other:?}"),
+    }
+
+    // The refused session cost the server nothing: a fresh connection
+    // still gets answers.
+    assert!(query(&addr, "STATS")[0].starts_with("stats "));
     assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
     run.join().expect("server thread").expect("clean shutdown");
 }
